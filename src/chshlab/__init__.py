@@ -40,6 +40,7 @@ from .quantum import (
     bell_state,
     bloch_of,
     correlation,
+    correlation_tensor,
     joint_distribution,
     maximally_mixed,
     observable_from_bloch,
@@ -85,6 +86,7 @@ __all__ = [
     "bell_state",
     "bloch_of",
     "correlation",
+    "correlation_tensor",
     "joint_distribution",
     "maximally_mixed",
     "observable_from_bloch",

@@ -21,7 +21,10 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
+# Pauli-product basis: PAULI_PRODUCTS[k, l] = sigma_k x sigma_l, k, l over x, y, z
+PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+                           for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, PAULI_PRODUCTS):
     _m.flags.writeable = False
 
 OBSERVABLE_TOL = 1e-10
@@ -162,14 +165,14 @@ class JointDistribution:
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
 
 
-def _require_pair_dims(rho: DensityMatrix, a: Observable, b: Observable) -> None:
+def _require_pair_dims(rho: DensityMatrix) -> None:
     if rho.dim != 4:
         raise ValueError(f"two-party state must have dim 4, got {rho.dim}")
 
 
 def joint_distribution(rho: DensityMatrix, a: Observable, b: Observable) -> JointDistribution:
     """Born-rule joint outcomes: p(alpha, beta) = tr(rho (P_alpha x P_beta))."""
-    _require_pair_dims(rho, a, b)
+    _require_pair_dims(rho)
     pa_p, pa_m = projectors(a)
     pb_p, pb_m = projectors(b)
     r = rho.matrix
@@ -188,5 +191,12 @@ def correlation(rho: DensityMatrix, a: Observable, b: Observable) -> float:
     Agrees with the signed sum over `joint_distribution` because
     A x B = sum_{alpha,beta} alpha*beta P_alpha x P_beta.
     """
-    _require_pair_dims(rho, a, b)
+    _require_pair_dims(rho)
     return float(np.trace(rho.matrix @ np.kron(a.matrix, b.matrix)).real)
+
+
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
+    """Real 3x3 T_kl = tr(rho (sigma_k x sigma_l)); E(a, b) = n_a^T T n_b for
+    Bloch vectors n_a, n_b (Horodecki et al., Phys. Lett. A 200, 340 (1995))."""
+    _require_pair_dims(rho)
+    return np.einsum("ij,klji->kl", rho.matrix, PAULI_PRODUCTS).real

@@ -9,6 +9,13 @@ The optimizer is derivative-free coordinate ascent: per coordinate a coarse
 periodic scan brackets the best region and a golden-section search refines
 it.  All restart points derive from fixed seeds, so results are
 deterministic.
+
+Both search objectives use one kernel: with a = (sin t, cos t) on x-z Bloch
+components and M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T], S = 2 <M, T> on
+the correlation tensor's x-z block and C = sum_kl M_kl sigma_k x sigma_l.
+Maximizers form continuous families (a row's ceiling depends on beta1 - beta2
+only), so reported settings and s_singlet are one maximizer, not the unique
+one; reported values are recomputed through the validated `chsh` path.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .chsh import Scenario, commutator_norms, max_s_over_states, s_value
-from .quantum import SIGMA_X, SIGMA_Z, DensityMatrix, observable_from_bloch
+from .quantum import PAULI_PRODUCTS, DensityMatrix, correlation_tensor, observable_from_bloch
 
 _TWO_PI = 2.0 * np.pi
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -30,6 +37,11 @@ _MAX_CYCLES = 200
 # so identical calls give identical optima)
 _OPTIMIZER_SEED = 0x0C0A5CE27
 _SWEEP_SEED = 0x51EE9B0A7
+
+# x-z block of the Pauli-product basis (real symmetric), flattened for one matmul
+_XZ = (0, 2)
+_BASIS_XZ = PAULI_PRODUCTS[np.ix_(_XZ, _XZ)].real.reshape(4, 16)
+_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass
@@ -146,26 +158,10 @@ def _coordinate_ascent(
     return x, best, False, cycles
 
 
-def _planar_matrices(angles) -> list[np.ndarray]:
-    return [np.cos(t) * SIGMA_Z + np.sin(t) * SIGMA_X for t in angles]
-
-
-def _planar_s_value(angles, rho: np.ndarray) -> float:
-    # same Born-rule arithmetic as the engine path, minus re-validation
-    a1, a2, b1, b2 = _planar_matrices(angles)
-    e11 = np.trace(rho @ np.kron(a1, b1)).real
-    e12 = np.trace(rho @ np.kron(a1, b2)).real
-    e21 = np.trace(rho @ np.kron(a2, b1)).real
-    e22 = np.trace(rho @ np.kron(a2, b2)).real
-    return float(e11 + e12 + e21 - e22)
-
-
-def _planar_max_s(angles) -> float:
-    # candidate evaluation only; reported row values go through the
-    # package eigensolver
-    a1, a2, b1, b2 = _planar_matrices(angles)
-    c = 0.5 * (np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
-    return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(c))))
+def _planar_coefficients(angles) -> np.ndarray:
+    """M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T] on x-z Bloch components."""
+    v = np.stack((np.sin(angles), np.cos(angles)), axis=1)  # rows a1, a2, b1, b2
+    return 0.5 * v[:2].T @ (_SUM_DIFF @ v[2:])
 
 
 def _better(s: float, tup, best_s: float | None, best_tup) -> bool:
@@ -187,12 +183,10 @@ def optimize_settings(
         raise ValueError("restarts >= 1 required")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if state.dim != 4:
-        raise ValueError("optimize_settings needs a two-party state (dim 4)")
-    rho = state.matrix
+    t_xz = correlation_tensor(state)[np.ix_(_XZ, _XZ)]  # checks dim 4
 
     def objective(angles):
-        return _planar_s_value(angles, rho)
+        return 2.0 * float(np.vdot(_planar_coefficients(angles), t_xz))
 
     best_s: float | None = None
     best_tup = None
@@ -233,7 +227,9 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     rows: list[SweepRow] = []
     for row_idx, phi in enumerate(np.linspace(0.0, np.pi / 2.0, phi_steps)):
         def objective(angles, _phi=phi):
-            return _planar_max_s((0.0, _phi, angles[0], angles[1]))
+            m = _planar_coefficients((0.0, _phi, angles[0], angles[1]))
+            w = np.linalg.eigvalsh((m.ravel() @ _BASIS_XZ).reshape(4, 4))
+            return 2.0 * float(max(-w[0], w[-1]))  # eigvalsh sorts ascending
 
         starts = [
             (phi / 2.0 + np.pi / 4.0, phi / 2.0 - np.pi / 4.0),

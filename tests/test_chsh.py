@@ -233,8 +233,11 @@ class TestScenarioValidation:
 
     def test_observable_type_checked(self):
         rng = np.random.default_rng(62)
-        with pytest.raises(ValueError, match="a2"):
-            Scenario(random_observable(rng), SIGMA_X, random_observable(rng), random_observable(rng))
+        for position, name in enumerate(("a1", "a2", "b1", "b2")):
+            settings = [random_observable(rng) for _ in range(4)]
+            settings[position] = SIGMA_X  # a bare matrix, not an Observable
+            with pytest.raises(ValueError, match=name):
+                Scenario(*settings)
 
 
 class TestIdentityObservables:

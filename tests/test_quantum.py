@@ -7,6 +7,7 @@ from chshlab import (
     bell_state,
     bloch_of,
     correlation,
+    correlation_tensor,
     joint_distribution,
     maximally_mixed,
     observable_from_bloch,
@@ -195,3 +196,18 @@ class TestCorrelation:
             via_distribution = joint_distribution(rho, a, b).expectation()
             assert abs(via_trace - via_distribution) < 1e-10
             assert -1.0 - 1e-10 <= via_trace <= 1.0 + 1e-10
+
+
+class TestCorrelationTensor:
+    def test_bilinear_form_matches_correlation(self):
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            rho = random_density(rng)
+            u, v = random_bloch(rng), random_bloch(rng)
+            got = np.asarray(u) @ correlation_tensor(rho) @ np.asarray(v)
+            want = correlation(rho, observable_from_bloch(u), observable_from_bloch(v))
+            assert abs(got - want) < 1e-12
+
+    def test_dimension_check(self):
+        with pytest.raises(ValueError, match="dim 4"):
+            correlation_tensor(DensityMatrix(np.eye(2, dtype=complex) / 2.0))

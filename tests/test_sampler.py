@@ -9,6 +9,7 @@ from chshlab import (
     bell_state,
     maximally_mixed,
     observable_from_bloch,
+    pure_state,
     run_experiment,
     sample_pair,
     s_value,
@@ -158,6 +159,39 @@ class TestRunExperiment:
             RunConfig(sc, shots_per_pair=10, seed=-1)
         with pytest.raises(ValueError, match="64-bit"):
             RunConfig(sc, shots_per_pair=10, seed=1 << 64)
+
+    @pytest.mark.parametrize(
+        "case, seed, shots, want",
+        [
+            ("singlet", 42, 10000,
+             [(4258, 780, 757, 4205), (4269, 720, 734, 4277),
+              (4185, 709, 719, 4387), (744, 4274, 4221, 761)]),
+            ("werner", 7, 5000,
+             [(1954, 556, 550, 1940), (1986, 553, 532, 1929),
+              (1954, 523, 555, 1968), (547, 1883, 1979, 591)]),
+            ("tilted", 2**63 + 5, 3001,
+             [(1099, 394, 1466, 42), (1365, 98, 900, 638),
+              (1737, 198, 849, 217), (1334, 597, 966, 104)]),
+        ],
+    )
+    def test_golden_counts(self, case, seed, shots, want):
+        # pinned values, not just repeat-determinism: any change to the Born
+        # probabilities or the inverse-CDF lookup shows up here
+        if case == "singlet":
+            sc = optimal_scenario(bell_state("psi_minus"))
+        elif case == "werner":
+            werner = 0.8 * bell_state("psi_minus").matrix + 0.2 * np.eye(4) / 4.0
+            sc = optimal_scenario(DensityMatrix(werner))
+        else:
+            sc = Scenario(
+                observable_from_bloch((0.6, 0, 0.8)),
+                observable_from_bloch((0, 1, 0)),
+                observable_from_bloch((-0.8, 0, 0.6)),
+                observable_from_bloch((0, 0.6, 0.8)),
+                state=pure_state(np.array([1, 1j, 2, -1]) / np.sqrt(7.0)),
+            )
+        r = run_experiment(RunConfig(sc, shots_per_pair=shots, seed=seed))
+        assert [(c.pp, c.pm, c.mp, c.mm) for c in r.counts] == want
 
     def test_substream_derivation_is_documented_scheme(self):
         # child stream k of master seed must be mix64(seed + GOLDEN*(k+1))

@@ -15,7 +15,23 @@ from chshlab import (
 from chshlab.linalg import frobenius, operator_norm
 from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix
 
+from helpers import random_density, random_pure_density
+
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+
+def planar_bloch(t):
+    return np.array([np.sin(t), 0.0, np.cos(t)])
+
+
+def horodecki_planar(rho):
+    """Max S over x-z settings, 2 sqrt(s1^2 + s2^2) from the singular values
+    of the x-z block of T_kl = tr(rho sigma_k x sigma_l) (Horodecki,
+    Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995))."""
+    t = np.array([[np.trace(rho @ np.kron(p, q)).real for q in (SIGMA_X, SIGMA_Z)]
+                  for p in (SIGMA_X, SIGMA_Z)])
+    s = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * np.sqrt(s[0] ** 2 + s[1] ** 2)
 
 
 class TestPlanarSettings:
@@ -80,6 +96,15 @@ class TestIncompatibilitySweep:
             bound = 4.0 * (1.0 + 0.25 * row.comm_a_norm * row.comm_b_norm)
             assert row.max_s**2 <= bound + 1e-8
 
+    def test_landau_closed_form_per_row(self, sweep):
+        # Landau, Phys. Lett. A 120, 54 (1987): ||C||^2 = 1 + comm_a comm_b / 4,
+        # with ||[n1.sigma, n2.sigma]|| = 2 |n1 x n2|
+        for row in sweep.rows:
+            n = [planar_bloch(t) for t in row.settings.as_tuple()]
+            comm_a = 2.0 * np.linalg.norm(np.cross(n[0], n[1]))
+            comm_b = 2.0 * np.linalg.norm(np.cross(n[2], n[3]))
+            assert row.max_s == pytest.approx(2.0 * np.sqrt(1.0 + 0.25 * comm_a * comm_b), abs=1e-9)
+
     def test_max_s_nondecreasing(self, sweep):
         values = [row.max_s for row in sweep.rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -106,6 +131,29 @@ class TestIncompatibilitySweep:
         assert [r.max_s for r in s1.rows] == [r.max_s for r in s2.rows]
         assert [r.settings.as_tuple() for r in s1.rows] == [r.settings.as_tuple() for r in s2.rows]
 
+    def test_golden_rows(self):
+        # a row's max_s depends on beta1 - beta2 only, so its maximizers form
+        # a continuous family: settings and s_singlet pin the representative
+        # this objective's rounding selects, not a unique optimum
+        want = [
+            ((0.0, 0.0, 3.8440294077111115, 5.2098597120396555),
+             1.5265402360119655, 1.9999999999999996),
+            ((0.0, 0.39269908169872414, 0.9817477042468103, 5.6941366846315),
+             -1.6629392246050898, 2.351751204838718),
+            ((0.0, 0.7853981633974483, 1.1780972450961724, 2.748893571891069),
+             -0.7653668647301793, 2.613125929752754),
+            ((0.0, 1.1780972450961724, 1.002849319115727, 5.715238249519459),
+             -2.539945193694965, 2.774079690644295),
+            ((0.0, 1.5707963267948966, 0.03344368661904973, 1.6042400234556693),
+             9.70033808833648e-09, 2.8284271247461916),
+        ]
+        rows = incompatibility_sweep(5, bell_state("psi_minus")).rows
+        assert len(rows) == len(want)
+        for row, (settings, s_singlet, max_s) in zip(rows, want):
+            assert row.settings.as_tuple() == pytest.approx(settings, abs=1e-12)
+            assert row.s_singlet == pytest.approx(s_singlet, abs=1e-12)
+            assert row.max_s == pytest.approx(max_s, abs=1e-12)
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="phi_steps"):
             incompatibility_sweep(1, bell_state("psi_minus"))
@@ -116,6 +164,14 @@ class TestOptimizeSettings:
         res = optimize_settings(bell_state("psi_minus"), restarts=8, tol=1e-10)
         assert res.converged
         assert abs(res.s_value - TSIRELSON) < 1e-6
+
+    def test_matches_planar_horodecki_value(self):
+        rng = np.random.default_rng(90)
+        states = [DensityMatrix(random_pure_density(rng, 4)) for _ in range(10)]
+        states += [random_density(rng) for _ in range(10)]
+        for rho in states:
+            res = optimize_settings(rho, restarts=8, tol=1e-10)
+            assert res.s_value == pytest.approx(horodecki_planar(rho.matrix), abs=1e-9)
 
     def test_product_state_stays_classical(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex))
