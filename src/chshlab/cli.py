@@ -42,42 +42,41 @@ def _parse_seed(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", metavar="PATH", help="write the report to PATH")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format (sweep only)"
-    )
-    common.add_argument(
-        "--seed", type=_parse_seed, default=None, metavar="U64",
-        help="64-bit unsigned seed (decimal or 0x-hex)",
-    )
-    common.add_argument(
+    parser = argparse.ArgumentParser(prog="chshlab", description=__doc__.split("\n")[0])
+    parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    output_help = "write the report to PATH"
+    seed_help = "64-bit unsigned seed (decimal or 0x-hex)"
+
+    p = sub.add_parser("analyze", help="spectral report for a scenario file")
+    p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--output", metavar="PATH", help=output_help)
+    p.add_argument(
         "--expect-no-violation", action="store_true",
         help="exit 3 if the analyzed scenario can violate |S| <= 2",
     )
 
-    parser = argparse.ArgumentParser(prog="chshlab", description=__doc__.split("\n")[0])
-    parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", parents=[common], help="spectral report for a scenario file")
-    p.add_argument("scenario", help="scenario JSON file")
-
     p = sub.add_parser(
-        "check-identity", parents=[common],
+        "check-identity",
         help="verify the sign of C^2 = I + sign*(1/4)[a1,a2] kron [b1,b2]",
     )
     p.add_argument("--trials", type=int, default=1000, help="random scenarios to test")
+    p.add_argument("--seed", type=_parse_seed, default=_DEFAULT_IDENTITY_SEED, metavar="U64",
+                   help=seed_help)
 
-    p = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo Bell run")
+    p = sub.add_parser("simulate", help="seeded Monte Carlo Bell run")
     p.add_argument("scenario", help="scenario JSON file (state required)")
     p.add_argument("--shots", type=int, required=True, help="shots per setting pair")
+    p.add_argument("--seed", type=_parse_seed, default=0, metavar="U64", help=seed_help)
+    p.add_argument("--output", metavar="PATH", help=output_help)
 
-    p = sub.add_parser("sweep", parents=[common], help="incompatibility sweep")
+    p = sub.add_parser("sweep", help="incompatibility sweep")
     p.add_argument("--phi-steps", type=int, default=19, help="grid points over [0, pi/2]")
     p.add_argument("--state", default="psi_minus", help="named state for the S column")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+    p.add_argument("--output", metavar="PATH", help=output_help)
 
-    sub.add_parser("lhv", parents=[common], help="deterministic local strategies and bound")
+    sub.add_parser("lhv", help="deterministic local strategies and bound")
     return parser
 
 
@@ -113,7 +112,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_check_identity(args) -> int:
     if args.trials < 1:
         raise ValueError("trials >= 1 required")
-    seed = _check_seed_range(args.seed if args.seed is not None else _DEFAULT_IDENTITY_SEED)
+    seed = _check_seed_range(args.seed)
     check = verify_identity_sign(trials=args.trials, seed=seed, tol=IDENTITY_TOL)
     print(f"trials: {check.trials}")
     print(f"seed: {seed}")
@@ -136,7 +135,7 @@ def _cmd_check_identity(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario, echo = fileio.load_scenario(args.scenario)
-    seed = _check_seed_range(args.seed if args.seed is not None else 0)
+    seed = _check_seed_range(args.seed)
     cfg = RunConfig(scenario=scenario, shots_per_pair=args.shots, seed=seed)
     result = run_experiment(cfg)
     exact = s_value(scenario)
@@ -148,8 +147,9 @@ def _cmd_simulate(args) -> int:
     )
     doc["s_exact"] = exact
     _write_or_print(fileio.dumps(doc), args.output)
-    print(f"s_hat = {result.s_hat!r} +/- {result.s_stderr!r}")
-    print(f"s_exact = {exact!r}")
+    if args.output is not None:
+        print(f"s_hat = {result.s_hat!r} +/- {result.s_stderr!r}")
+        print(f"s_exact = {exact!r}")
     return EXIT_OK
 
 

@@ -51,11 +51,13 @@ def observable_from_spec(spec, name: str) -> Observable:
             f"{name}.bloch: expected three numbers",
         )
         try:
-            return observable_from_bloch([float(c) for c in vec], label=name)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ValueError) and "unit length" in str(exc):
-                raise ValueError(f"{name}.bloch: {exc}") from None
+            n = [float(c) for c in vec]
+        except (TypeError, ValueError):
             raise FormatError(f"{name}.bloch: expected three numbers") from None
+        try:
+            return observable_from_bloch(n, label=name)
+        except ValueError as exc:
+            raise ValueError(f"{name}.bloch: {exc}") from None
     if "angle" in spec:
         try:
             t = float(spec["angle"])
@@ -263,7 +265,7 @@ def make_document(command: str, input_echo: dict, payload_key: str, payload: dic
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def parse_document(text: str) -> dict:

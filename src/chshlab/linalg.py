@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small operators.
 
-Matrices are square numpy arrays of complex128.  The eigensolver is a cyclic
-Jacobi iteration specialized to Hermitian input: at dimensions 2 and 4
-robustness and predictability beat asymptotic speed.
+Matrices are square numpy arrays of complex128.  `hermitian_eigen` is the one
+validated entry point to the eigensolver: it rejects non-Hermitian input and
+hands the symmetrized matrix to LAPACK's Hermitian solver (`np.linalg.eigh`).
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_RTOL = 1e-10
-_OFF_DIAG_RTOL = 1e-13
-_MAX_SWEEPS = 100
 
 
 def as_matrix(m) -> np.ndarray:
@@ -72,69 +70,17 @@ class EigenDecomposition:
 
 
 def hermitian_eigen(m) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi.
+    """Full eigendecomposition of a Hermitian matrix by LAPACK (`np.linalg.eigh`).
 
-    Each rotation zeroes one off-diagonal element: the complex phase of
-    a[p,q] is absorbed first, then a real 2x2 rotation diagonalizes the
-    remaining symmetric block.  Sweeps stop once the off-diagonal Frobenius
-    mass falls below 1e-13 relative to max(1, ||m||_F); 100 sweeps is far
-    beyond what 4x4 input ever needs, so exceeding the cap signals a bug.
-
-    Raises ValueError for non-Hermitian input and RuntimeError (with the
-    residual) on non-convergence.
+    The input is checked against HERMITIAN_RTOL relative to max(1, ||m||_F)
+    and symmetrized before the solve.  Raises ValueError for non-Hermitian
+    input.
     """
-    a = as_matrix(m).copy()
-    n = a.shape[0]
-    scale = max(1.0, frobenius(a))
-    if frobenius(a - a.conj().T) > HERMITIAN_RTOL * scale:
+    a = as_matrix(m)
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    off_tol = _OFF_DIAG_RTOL * scale
-    # rotations below this size cannot push the off-diagonal mass above off_tol
-    skip = off_tol / (4.0 * n * n)
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        return float(np.sqrt(np.sum(np.abs(a[off_mask]) ** 2)))
-
-    for _ in range(_MAX_SWEEPS):
-        if off_norm() <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                jp = c * phase
-                jq = s * phase
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = jp * cp - s * cq
-                a[:, q] = jq * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = np.conj(jp) * rp - s * rq
-                a[q, :] = np.conj(jq) * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = jp * vp - s * vq
-                v[:, q] = jq * vp + c * vq
-    residual = off_norm()
-    if residual > off_tol:
-        raise RuntimeError(
-            f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-    vals = np.diag(a).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(eigenvalues=vals[order], eigenvectors=v[:, order])
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return EigenDecomposition(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
 
 
 def operator_norm(m) -> float:

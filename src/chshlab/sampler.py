@@ -50,6 +50,10 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("shots_per_pair", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair >= 1 required")
         if not (0 <= self.seed <= rng.MASK64):

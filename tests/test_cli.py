@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from chshlab import __version__
 from chshlab.cli import main
@@ -143,6 +144,12 @@ class TestSimulate:
         scen = write_scenario(tmp_path / "stateless.json", state=None)
         assert main(["simulate", str(scen), "--shots", "10"]) == 2
 
+    def test_stdout_is_one_json_document(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "opt.json")
+        assert main(["simulate", str(scen), "--shots", "100", "--seed", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "simulate" and doc["input"]["seed"] == 4
+
     def test_seed_range_checked(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "opt.json")
         assert main(["simulate", str(scen), "--shots", "10",
@@ -194,6 +201,18 @@ class TestLhv:
         assert len(rows) == 16
         assert "classical max S: 2" in out
         assert "classical min S: -2" in out
+
+
+class TestPerCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["lhv", "--format", "csv", "--expect-no-violation"],
+        ["simulate", "SCENARIO", "--shots", "10", "--format", "csv"],
+        ["analyze", "SCENARIO", "--seed", "1"],
+    ])
+    def test_flag_of_another_command_is_usage_error(self, tmp_path, capsys, argv):
+        scen = str(write_scenario(tmp_path / "opt.json"))
+        assert main([scen if a == "SCENARIO" else a for a in argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -143,6 +143,10 @@ class TestRoundTrips:
         assert parsed["input"]["scenario"] == echo
         assert fileio.result_from_document(parsed) == report
 
+    def test_dumps_rejects_nan(self):
+        with pytest.raises(ValueError):
+            fileio.dumps({"s_value": float("nan")})
+
     def test_csv_matches_json_exactly(self):
         result = incompatibility_sweep(6, bell_state("psi_minus"))
         rows = fileio.sweep_rows_from_csv(fileio.sweep_result_to_csv(result))

@@ -160,6 +160,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="64-bit"):
             RunConfig(sc, shots_per_pair=10, seed=1 << 64)
 
+    @pytest.mark.parametrize("field, value", [
+        ("shots_per_pair", True), ("shots_per_pair", 2.5), ("seed", True), ("seed", 1.0),
+    ])
+    def test_config_requires_int(self, field, value):
+        kwargs = {"shots_per_pair": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            RunConfig(optimal_scenario(bell_state("psi_minus")), **kwargs)
+
     @pytest.mark.parametrize(
         "case, seed, shots, want",
         [
