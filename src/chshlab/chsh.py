@@ -215,32 +215,26 @@ class SignCheck:
         return None
 
 
-def verify_identity_sign(
-    trials: int = 1000,
-    seed: int = 20260808,
-    scenarios=None,
-    tol: float = VIOLATION_TOL,
-) -> SignCheck:
+def verify_identity_sign(trials: int = 1000, seed: int = 20260808) -> SignCheck:
     """Brute-force the sign of the C^2 identity over random scenarios.
 
     Evaluates `square_identity_residual` for both signs on `trials` random
-    scenarios (or on an explicit scenario iterable) and records the maximum
-    residual of each convention.
+    scenarios, drawn from child streams of the unsigned 64-bit `seed`, and
+    records the maximum residual of each convention against VIOLATION_TOL.
     """
-    if scenarios is None:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        scenarios = (random_scenario(rng.child_seed(seed, k)) for k in range(trials))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (0 <= seed <= rng.MASK64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     worst_plus = 0.0
     worst_minus = 0.0
-    count = 0
-    for sc in scenarios:
+    for k in range(trials):
+        sc = random_scenario(rng.child_seed(seed, k))
         worst_plus = max(worst_plus, square_identity_residual(sc, 1))
         worst_minus = max(worst_minus, square_identity_residual(sc, -1))
-        count += 1
     return SignCheck(
-        trials=count,
+        trials=trials,
         max_residual_plus=worst_plus,
         max_residual_minus=worst_minus,
-        tolerance=tol,
+        tolerance=VIOLATION_TOL,
     )

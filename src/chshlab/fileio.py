@@ -52,7 +52,7 @@ def observable_from_spec(spec, name: str) -> Observable:
         )
         try:
             n = [float(c) for c in vec]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FormatError(f"{name}.bloch: expected three numbers") from None
         try:
             return observable_from_bloch(n, label=name)
@@ -61,7 +61,7 @@ def observable_from_spec(spec, name: str) -> Observable:
     if "angle" in spec:
         try:
             t = float(spec["angle"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FormatError(f"{name}.angle: expected a number") from None
         if not np.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
@@ -93,7 +93,7 @@ def state_from_spec(spec) -> DensityMatrix | None:
             )
             try:
                 entries[i, j] = complex(float(cell[0]), float(cell[1]))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"state.matrix[{i}][{j}]: expected numbers") from None
     try:
         return DensityMatrix(entries)
@@ -114,7 +114,7 @@ def parse_scenario(text: str) -> tuple[Scenario, dict]:
     """Parse scenario JSON; returns the scenario plus the raw echo dict."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FormatError(f"invalid JSON: {exc}") from None
     return scenario_from_dict(doc), doc
 
@@ -271,7 +271,7 @@ def dumps(doc: dict) -> str:
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FormatError(f"invalid JSON: {exc}") from None
     _require(isinstance(doc, dict) and "command" in doc, "missing 'command' field")
     return doc

@@ -1,8 +1,12 @@
 """Dense complex linear algebra for small operators.
 
-Matrices are square numpy arrays of complex128.  `hermitian_eigen` is the one
-validated entry point to the eigensolver: it rejects non-Hermitian input and
-hands the symmetrized matrix to LAPACK's Hermitian solver (`np.linalg.eigh`).
+Matrices are square numpy arrays of complex128.  `as_matrix` coerces and
+checks outside input; `is_hermitian` tests an array that has already been
+through it.  `hermitian_eigen` is the one validated entry point to the
+eigensolver: it coerces once, rejects non-Hermitian input and hands the
+symmetrized matrix to LAPACK's Hermitian solver (`np.linalg.eigh`).
+`commutator`, `frobenius` and `operator_norm` complete the set; products,
+adjoints and Kronecker products are plain numpy (`@`, `.conj().T`, `np.kron`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -29,27 +33,10 @@ def frobenius(m) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def is_hermitian(m, rtol: float = HERMITIAN_RTOL) -> bool:
-    a = as_matrix(m)
-    return frobenius(a - a.conj().T) <= rtol * max(1.0, frobenius(a))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dim of result is the product of the input dims."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def is_hermitian(a: np.ndarray) -> bool:
+    """||a - a^H||_F <= HERMITIAN_RTOL * max(1, ||a||_F) for a square array `a`
+    (the output of `as_matrix`; not coerced again here)."""
+    return frobenius(a - a.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(a))
 
 
 def commutator(x, y) -> np.ndarray:

@@ -47,7 +47,7 @@ class Observable:
         m = linalg.as_matrix(self.matrix)
         if m.shape[0] != 2:
             raise ValueError(f"{tag}: expected a 2x2 matrix, got dim {m.shape[0]}")
-        if not linalg.is_hermitian(m, OBSERVABLE_TOL):
+        if not linalg.is_hermitian(m):
             raise ValueError(f"{tag}: matrix is not Hermitian")
         if linalg.frobenius(m @ m - IDENTITY_2) > OBSERVABLE_TOL:
             raise ValueError(f"{tag}: matrix does not square to the identity")
@@ -93,7 +93,7 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        lo = float(np.min(linalg.hermitian_eigen(m).eigenvalues))
+        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])  # ascending
         if lo < _EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
         self.matrix = m

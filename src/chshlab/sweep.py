@@ -54,10 +54,12 @@ class PlanarSettings:
     beta2: float
 
     def __post_init__(self):
-        self.alpha1 = float(self.alpha1) % _TWO_PI
-        self.alpha2 = float(self.alpha2) % _TWO_PI
-        self.beta1 = float(self.beta1) % _TWO_PI
-        self.beta2 = float(self.beta2) % _TWO_PI
+        # t % 2pi rounds to 2pi itself for tiny negative t; reducing twice
+        # keeps every angle in [0, 2pi), so normalizing is idempotent
+        self.alpha1 = float(self.alpha1) % _TWO_PI % _TWO_PI
+        self.alpha2 = float(self.alpha2) % _TWO_PI % _TWO_PI
+        self.beta1 = float(self.beta1) % _TWO_PI % _TWO_PI
+        self.beta2 = float(self.beta2) % _TWO_PI % _TWO_PI
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
@@ -133,16 +135,14 @@ def _line_max(f, x0: float, xtol: float) -> tuple[float, float]:
     return float(xg), float(vg)
 
 
-def _coordinate_ascent(
-    f, start, free: list[int], xtol: float, vtol: float, max_cycles: int
-):
-    """Cycle golden-section line maximizations over the free coordinates."""
+def _coordinate_ascent(f, start, xtol: float, vtol: float, max_cycles: int):
+    """Cycle golden-section line maximizations over every coordinate in order."""
     x = np.array(start, dtype=float)
     best = f(x)
     cycles = 0
     for cycles in range(1, max_cycles + 1):
         before = best
-        for i in free:
+        for i in range(len(x)):
             xi = x.copy()
 
             def g(t, _xi=xi, _i=i):
@@ -195,7 +195,7 @@ def optimize_settings(
     for k in range(restarts):
         start = _TWO_PI * rng.uniforms(rng.child_seed(_OPTIMIZER_SEED, k), 4)
         x, s, ok, cycles = _coordinate_ascent(
-            objective, start, [0, 1, 2, 3], xtol=1e-8, vtol=tol, max_cycles=_MAX_CYCLES
+            objective, start, xtol=1e-8, vtol=tol, max_cycles=_MAX_CYCLES
         )
         all_converged = all_converged and ok
         worst_cycles = max(worst_cycles, cycles)
@@ -240,7 +240,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
         best_beta = None
         for start in starts:
             x, v, _, _ = _coordinate_ascent(
-                objective, start, [0, 1], xtol=1e-6, vtol=1e-12, max_cycles=60
+                objective, start, xtol=1e-6, vtol=1e-12, max_cycles=60
             )
             tup = (float(x[0]) % _TWO_PI, float(x[1]) % _TWO_PI)
             if _better(v, tup, best_v, best_beta):

@@ -70,15 +70,3 @@ def partial_trace(m, keep):
         return np.einsum("kikj->ij", t)
     raise ValueError(keep)
 
-
-def triple_loop_matmul(a, b):
-    """Naive O(n^3) product in Python complex arithmetic (matmul oracle)."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc += complex(a[i, k]) * complex(b[k, j])
-            out[i, j] = acc
-    return out

@@ -20,7 +20,7 @@ from chshlab import (
     square_identity_residual,
     verify_identity_sign,
 )
-from chshlab.chsh import random_bloch_vectors, random_scenario
+from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_scenario
 from chshlab.linalg import frobenius
 from chshlab.quantum import SIGMA_X, SIGMA_Z
 
@@ -108,9 +108,19 @@ class TestSquareIdentity:
         rng = np.random.default_rng(52)
         a = random_observable(rng, "a")
         sc = Scenario(a, a, random_observable(rng, "b1"), random_observable(rng, "b2"))
-        check = verify_identity_sign(scenarios=[sc])
+        check = SignCheck(
+            trials=1,
+            max_residual_plus=square_identity_residual(sc, 1),
+            max_residual_minus=square_identity_residual(sc, -1),
+            tolerance=VIOLATION_TOL,
+        )
         assert check.plus_ok and check.minus_ok
         assert check.verified_sign is None
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_verify_identity_sign_seed_range(self, seed):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            verify_identity_sign(trials=1, seed=seed)
 
 
 class TestStateIndependentBound:

@@ -87,6 +87,11 @@ class TestAnalyze:
         assert main(["analyze", str(scen)]) == 2
         assert "b1" in capsys.readouterr().err
 
+    def test_integer_too_large_for_float_is_parse_error(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "huge.json", b1={"bloch": [10**400, 0, 0]})
+        assert main(["analyze", str(scen)]) == 1
+        assert "b1.bloch" in capsys.readouterr().err
+
 
 class TestCheckIdentity:
     def test_verifies_minus_sign(self, capsys):
@@ -101,6 +106,10 @@ class TestCheckIdentity:
 
     def test_trials_validated(self, capsys):
         assert main(["check-identity", "--trials", "0"]) == 2
+
+    def test_seed_range_checked(self, capsys):
+        assert main(["check-identity", "--trials", "1", "--seed", "-1"]) == 2
+        assert "unsigned 64-bit" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         assert main(["check-identity", "--trials", "50", "--seed", "5"]) == 0
@@ -191,6 +200,12 @@ class TestSweep:
 
     def test_phi_steps_validated(self, capsys):
         assert main(["sweep", "--phi-steps", "1"]) == 2
+
+    def test_consecutive_calls_share_no_parse_state(self, capsys):
+        assert main(["sweep", "--phi-steps", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("phi,")
+        assert main(["sweep", "--phi-steps", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "sweep"
 
 
 class TestLhv:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ class TestScenarioParsing:
         with pytest.raises(FormatError, match="invalid JSON"):
             fileio.parse_scenario("{not json")
 
+    @pytest.mark.parametrize("parse", [fileio.parse_scenario, fileio.parse_document],
+                             ids=["scenario", "document"])
+    def test_too_deeply_nested_json_is_format_error(self, parse):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            parse("[" * 100_000 + "]" * 100_000)
+
     def test_missing_field_is_format_error(self):
         doc = optimal_doc()
         del doc["b2"]
@@ -100,6 +107,17 @@ class TestScenarioParsing:
         doc = optimal_doc()
         doc["a1"] = {"angle": float("inf")}
         with pytest.raises(ValueError, match="finite"):
+            fileio.parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, spec, where", [
+        ("a1", {"bloch": [10**400, 0, 0]}, "a1.bloch"),
+        ("a1", {"angle": 10**400}, "a1.angle"),
+        ("state", {"matrix": [[[10**400, 0]] * 4] * 4}, "state.matrix[0][0]"),
+    ], ids=["bloch", "angle", "matrix"])
+    def test_integer_too_large_for_float_is_format_error(self, field, spec, where):
+        doc = optimal_doc()
+        doc[field] = spec
+        with pytest.raises(FormatError, match=re.escape(where)):
             fileio.parse_scenario(json.dumps(doc))
 
     def test_invalid_matrix_state_is_validation_error(self):

@@ -41,6 +41,9 @@ class TestPlanarSettings:
         assert ps.alpha2 == pytest.approx(1.5 * np.pi, abs=1e-15)
         assert ps.beta1 == pytest.approx(np.pi, abs=1e-14)
         assert ps.beta2 == 1.0
+        # a single t % 2pi rounds these to 2pi, outside [0, 2pi)
+        tiny = PlanarSettings(-1e-20, -5e-324, 0.0, 0.0)
+        assert tiny.alpha1 == tiny.alpha2 == 0.0
 
     def test_settings_to_scenario_axes(self):
         sc = settings_to_scenario(PlanarSettings(0.0, 0.0, 0.0, 0.0))
