@@ -11,6 +11,7 @@ adjoints and Kronecker products are plain numpy (`@`, `.conj().T`, `np.kron`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frobenius(m) -> float:
-    a = np.asarray(m)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    """||m||_F; `math.hypot` scales internally, so no square overflows."""
+    return math.hypot(*np.abs(np.asarray(m)).ravel().tolist())
 
 
 def is_hermitian(a: np.ndarray) -> bool:

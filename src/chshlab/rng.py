@@ -15,8 +15,9 @@ with GOLDEN = 0x9E3779B97F4A7C15 and the splitmix64 finalizer
 (all arithmetic mod 2**64).  Uniform doubles keep the top 53 bits:
 u = (out >> 11) * 2**-53, hence u in [0, 1).
 
-Being a pure counter scheme, the stream needs no sequential state and
-vectorizes; `uniforms` is the bulk path and `mix64` the scalar reference.
+Being a pure counter scheme, the stream needs no sequential state,
+vectorizes, and any block of it can be generated on its own (`raw64` with a
+counter offset); `uniforms` is the bulk path and `mix64` the scalar reference.
 Child streams come from `child_seed`, which feeds the master seed and the
 stream index back through the same mixer.
 """
@@ -51,23 +52,29 @@ def _as_signed(k: int) -> np.int64:
     return np.int64(k - (1 << 64)) if k >= (1 << 63) else np.int64(k)
 
 
-def raw64(seed: int, n: int) -> np.ndarray:
-    """Outputs 1..n of the stream as a uint64 array.
+def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Outputs start+1 .. start+n of the stream as a uint64 array.
 
-    Wrapping 64-bit multiplies run through the signed kernel (`int64` view);
-    the low 64 bits agree with unsigned arithmetic under two's complement,
-    which sidesteps a slow unsigned-multiply path in some numpy builds.
+    Every seed enters the stream here; one outside [0, 2**64) raises
+    ValueError instead of wrapping onto another seed's stream.  Wrapping
+    64-bit multiplies run in place on the `int64` view `z` of `u`; the low 64
+    bits agree with unsigned arithmetic under two's complement, which
+    sidesteps a slow unsigned-multiply path in some numpy builds.
     """
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    z = np.arange(1, n + 1, dtype=np.int64)
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    z = np.arange(n, dtype=np.int64)
     z *= _as_signed(GOLDEN)
-    z += _as_signed(seed & MASK64)
+    z += _as_signed((seed + (start + 1) * GOLDEN) & MASK64)
     u = z.view(np.uint64)
     u ^= u >> np.uint64(30)
-    u = (u.view(np.int64) * _as_signed(_MIX_A)).view(np.uint64)
+    z *= _as_signed(_MIX_A)
     u ^= u >> np.uint64(27)
-    u = (u.view(np.int64) * _as_signed(_MIX_B)).view(np.uint64)
+    z *= _as_signed(_MIX_B)
     u ^= u >> np.uint64(31)
     return u
 

@@ -3,9 +3,12 @@
 Reproducibility contract: every random draw comes from the counter-based
 generator in `rng`, so identical configurations give bit-identical results
 on any platform.  The master seed spawns one child stream per setting pair
-in the fixed order a1b1, a1b2, a2b1, a2b2 (pair index 0..3), and each shot
-maps one uniform to an outcome cell by inverse CDF over the fixed cell
-order (+,+), (+,-), (-,+), (-,-).
+in the fixed order a1b1, a1b2, a2b1, a2b2 (pair index 0..3).  Shot j falls
+in the first cell of (+,+), (+,-), (-,+), (-,-) whose CDF value exceeds
+u = t * 2**-53, t the top 53 bits of stream output j.  `sample_pair` walks
+the stream in blocks of `_CHUNK` outputs and counts t < ceil(cdf_k * 2**53);
+scaling by 2**53 is exact, so the differences of these counts are the cells
+of the per-shot lookup, bit for bit, in memory that does not grow with shots.
 
 When calling `sample_pair` directly with many seeds, derive them through
 `rng.child_seed` rather than using consecutive integers: splitmix64 streams
@@ -24,6 +27,7 @@ from .chsh import Scenario
 from .quantum import DensityMatrix, Observable, joint_distribution
 
 PAIR_LABELS = ("a1b1", "a1b2", "a2b1", "a2b2")
+_CHUNK = 1 << 16  # stream outputs per `sample_pair` block; 2**14..2**16 time alike
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,9 @@ def sample_pair(
     """Draw i.i.d. joint outcomes for one setting pair from stream `seed`.
 
     The four cell probabilities are renormalized by their float sum before
-    the inverse-CDF lookup; cells with exact probability zero can then never
-    be hit, because their CDF interval is empty and the final CDF value is
-    exactly 1.0 > u for every uniform u < 1.
+    the limits are taken, so the last CDF value is exactly 1.0; a cell with
+    exact probability zero can then never be hit, because its upper limit
+    equals the one before it (2**53, above every t, for trailing cells).
     """
     if shots < 1:
         raise ValueError("shots >= 1 required")
@@ -93,10 +97,13 @@ def sample_pair(
     probs = np.maximum(dist.as_array(), 0.0)
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    u = rng.uniforms(seed, shots)
-    cells = np.searchsorted(cdf, u, side="right")
-    n = np.bincount(cells, minlength=4)
-    return PairCounts(pp=int(n[0]), pm=int(n[1]), mp=int(n[2]), mm=int(n[3]))
+    limits = np.ceil(cdf[:3] * 2.0**53).astype(np.uint64)
+    below = np.zeros(3, dtype=np.int64)  # shots with t < L_k so far
+    for start in range(0, shots, _CHUNK):
+        top53 = rng.raw64(seed, min(_CHUNK, shots - start), start)
+        top53 >>= np.uint64(11)
+        below += [np.count_nonzero(top53 < lim) for lim in limits]
+    return PairCounts(*np.diff(below, prepend=0, append=shots).tolist())
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:

@@ -295,3 +295,12 @@ def test_random_bloch_vectors_unit_length():
     vecs = random_bloch_vectors(99, 500)
     norms = np.linalg.norm(vecs, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [-5, 1 << 64])
+def test_random_draws_reject_out_of_range_seed(seed):
+    # a wrapped seed would silently reuse the stream of seed mod 2**64
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        random_bloch_vectors(seed, 4)
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        random_scenario(seed)

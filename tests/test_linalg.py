@@ -18,6 +18,24 @@ class TestAsMatrix:
             linalg.as_matrix(bad)
 
 
+class TestFrobenius:
+    def test_zero_matrix(self):
+        assert linalg.frobenius(np.zeros((3, 3))) == 0.0
+
+    def test_extreme_entries_neither_overflow_nor_underflow(self):
+        assert linalg.frobenius([[3e300, 4e300]]) == pytest.approx(5e300, rel=1e-15)
+        assert linalg.frobenius([[3e-200, 4e-200]]) == pytest.approx(5e-200, rel=1e-15)
+
+    def test_matches_plain_sum_of_squares(self):
+        # the plain sum rounds once per term; the two agree to a few ulp
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m *= 10.0 ** rng.uniform(-100, 100)
+            want = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+            assert linalg.frobenius(m) == pytest.approx(want, rel=1e-15)
+
+
 class TestCommutator:
     def test_pauli_pair(self):
         assert np.allclose(linalg.commutator(SIGMA_Z, SIGMA_X), 2j * SIGMA_Y, atol=0)
@@ -84,6 +102,15 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_non_hermitian_with_huge_entries(self):
+        # unscaled squares overflow to inf near 1.3e154 and inf <= inf passed
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.hermitian_eigen(np.array([[0, 1e200], [0, 0]], dtype=complex))
+
+    def test_accepts_hermitian_with_huge_entries(self):
+        eig = linalg.hermitian_eigen(np.array([[1e200, 2e199j], [-2e199j, -3e200]]))
+        assert np.allclose(eig.eigenvalues, [1.00997512422e200, -3.00997512422e200], rtol=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(24)

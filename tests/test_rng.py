@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chshlab import rng
+from chshlab.sampler import _CHUNK
 
 MASK = (1 << 64) - 1
 
@@ -76,3 +77,31 @@ def test_empty_and_invalid_counts():
     assert rng.raw64(9, 0).shape == (0,)
     with pytest.raises(ValueError):
         rng.raw64(9, -1)
+
+
+@pytest.mark.parametrize(
+    "start, n",
+    [(0, _CHUNK), (1, _CHUNK - 1), (_CHUNK - 1, 2), (_CHUNK, _CHUNK + 1), (2 * _CHUNK + 3, 5)],
+)
+def test_counter_offset_is_a_window_of_the_stream(start, n):
+    assert np.array_equal(rng.raw64(2718, n, start), rng.raw64(2718, start + n)[start:])
+
+
+def test_counter_offset_wraps_mod_2_64():
+    start = (1 << 64) - 2
+    want = [rng.mix64((77 + k * rng.GOLDEN) & MASK) for k in range(start + 1, start + 5)]
+    assert [int(v) for v in rng.raw64(77, 4, start)] == want
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_rejected(seed):
+    # wrapping would make seed -1 an alias of seed 2**64 - 1
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        rng.raw64(seed, 1)
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        rng.uniforms(seed, 1)
+
+
+def test_negative_start_rejected():
+    with pytest.raises(ValueError, match="start"):
+        rng.raw64(9, 1, -1)

@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chshlab import (
+    PairCounts,
     RunConfig,
     Scenario,
     bell_state,
+    joint_distribution,
     maximally_mixed,
     observable_from_bloch,
     pure_state,
@@ -17,6 +20,7 @@ from chshlab import (
 from chshlab import rng
 from chshlab.fileio import run_result_to_dict
 from chshlab.quantum import DensityMatrix
+from chshlab.sampler import _CHUNK
 
 from helpers import random_density, random_scenario
 
@@ -62,8 +66,6 @@ class TestSamplePair:
             assert c.total == 999
 
     def test_frequencies_track_probabilities(self):
-        from chshlab import joint_distribution
-
         rng_np = np.random.default_rng(72)
         rho = random_density(rng_np)
         a = observable_from_bloch((1, 0, 0))
@@ -72,6 +74,47 @@ class TestSamplePair:
         c = sample_pair(rho, a, b, 200000, 1729)
         got = np.array([c.pp, c.pm, c.mp, c.mm]) / 200000.0
         assert np.max(np.abs(got - want)) < 0.01
+
+    def test_matches_inverse_cdf_reference(self):
+        # the threshold counts must equal the inverse-CDF lookup of each uniform,
+        # bit for bit, within one block and across block boundaries
+        def reference(rho, a, b, shots, seed):
+            probs = np.maximum(joint_distribution(rho, a, b).as_array(), 0.0)
+            cdf = np.cumsum(probs)
+            cdf /= cdf[-1]
+            cells = np.searchsorted(cdf, rng.uniforms(seed, shots), side="right")
+            return PairCounts(*(int(n) for n in np.bincount(cells, minlength=4)))
+
+        rng_np = np.random.default_rng(75)
+        sz = observable_from_bloch((0, 0, 1))
+        for k, shots in enumerate((1, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7)):
+            rho = random_density(rng_np)
+            v = rng_np.normal(size=3)
+            a = observable_from_bloch(v / np.linalg.norm(v))
+            seed = rng.child_seed(76, k)
+            assert sample_pair(rho, a, sz, shots, seed) == reference(rho, a, sz, shots, seed)
+            phi = bell_state("phi_plus")  # two cells of exact probability zero
+            assert sample_pair(phi, sz, sz, shots, seed) == reference(phi, sz, sz, shots, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_rejects_out_of_range_seed(self, seed):
+        # seed -1 used to wrap to 2**64 - 1 and reuse that stream
+        sz = observable_from_bloch((0, 0, 1))
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            sample_pair(bell_state("psi_minus"), sz, sz, 10, seed)
+
+    def test_memory_bounded_at_large_shot_counts(self):
+        # one block of the stream at a time: ~1.6 MB for 4e6 shots, where
+        # materializing the shots took ~96 MB
+        sz = observable_from_bloch((0, 0, 1))
+        sx = observable_from_bloch((1, 0, 0))
+        tracemalloc.start()
+        try:
+            sample_pair(bell_state("psi_minus"), sz, sx, 4_000_000, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError, match="shots"):
@@ -198,6 +241,31 @@ class TestRunExperiment:
                 observable_from_bloch((0, 0.6, 0.8)),
                 state=pure_state(np.array([1, 1j, 2, -1]) / np.sqrt(7.0)),
             )
+        r = run_experiment(RunConfig(sc, shots_per_pair=shots, seed=seed))
+        assert [(c.pp, c.pm, c.mp, c.mm) for c in r.counts] == want
+
+    @pytest.mark.parametrize(
+        "case, seed, want",
+        [
+            ("singlet", 42,
+             [(84867, 14950, 14763, 85423), (85031, 14769, 14911, 85292),
+              (84931, 14498, 14616, 85958), (14738, 85321, 85191, 14753)]),
+            ("phi_plus", 2**64 - 1,
+             [(99871, 0, 0, 100132), (49897, 50220, 50143, 49743),
+              (49683, 50128, 49808, 50384), (99865, 0, 0, 100138)]),
+        ],
+    )
+    def test_golden_counts_across_chunks(self, case, seed, want):
+        # 200003 shots span several stream blocks and end in a partial one;
+        # phi_plus with a1 = b1 = sz and a2 = b2 = sx has zero Born cells
+        shots = 200003
+        assert shots > 3 * _CHUNK and shots % _CHUNK
+        if case == "singlet":
+            sc = optimal_scenario(bell_state("psi_minus"))
+        else:
+            sz = observable_from_bloch((0, 0, 1))
+            sx = observable_from_bloch((1, 0, 0))
+            sc = Scenario(sz, sx, sz, sx, state=bell_state("phi_plus"))
         r = run_experiment(RunConfig(sc, shots_per_pair=shots, seed=seed))
         assert [(c.pp, c.pm, c.mp, c.mm) for c in r.counts] == want
 
