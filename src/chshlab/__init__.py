@@ -44,7 +44,6 @@ from .quantum import (
     joint_distribution,
     maximally_mixed,
     observable_from_bloch,
-    projectors,
     pure_state,
 )
 from .sampler import PairCounts, RunConfig, RunResult, run_experiment, sample_pair
@@ -90,7 +89,6 @@ __all__ = [
     "joint_distribution",
     "maximally_mixed",
     "observable_from_bloch",
-    "projectors",
     "pure_state",
     "PairCounts",
     "RunConfig",

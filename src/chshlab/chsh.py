@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rng
-from .quantum import DensityMatrix, Observable, correlation, observable_from_bloch, pure_state
+from .quantum import (DensityMatrix, Observable, observable_from_bloch, pauli_correlations,
+                      pauli_vector, pure_state)
 
 VIOLATION_TOL = 1e-9
+_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 # Sign of the commutator term in C^2 = I + sign * (1/4)[a1,a2] x [b1,b2].
 # Fixed by verify_identity_sign() (see also the check-identity CLI command),
@@ -70,6 +72,13 @@ def chsh_operator(sc: Scenario) -> np.ndarray:
     return 0.5 * (np.kron(sc.a1.matrix, b_sum) + np.kron(sc.a2.matrix, b_diff))
 
 
+def chsh_coefficients(vectors) -> np.ndarray:
+    """M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T] for coordinate rows a1, a2, b1, b2;
+    on Pauli 4-vectors C = sum M_mu,nu sigma_mu x sigma_nu and S = 2 <M, R>."""
+    v = np.asarray(vectors)
+    return 0.5 * v[:2].T @ (_SUM_DIFF @ v[2:])
+
+
 def square_identity_residual(sc: Scenario, sign: int) -> float:
     """Frobenius distance between C^2 and I + sign*(1/4)[a1,a2] x [b1,b2].
 
@@ -106,14 +115,11 @@ def check_state_independent_bound(sc: Scenario) -> bool:
 
 
 def s_value(sc: Scenario) -> float:
-    """S = E11 + E12 + E21 - E22 at the scenario's state."""
+    """S = E11 + E12 + E21 - E22 = 2 <M, R> at the scenario's state."""
     if sc.state is None:
         raise ValueError("scenario has no state; s_value needs one")
-    e11 = correlation(sc.state, sc.a1, sc.b1)
-    e12 = correlation(sc.state, sc.a1, sc.b2)
-    e21 = correlation(sc.state, sc.a2, sc.b1)
-    e22 = correlation(sc.state, sc.a2, sc.b2)
-    return e11 + e12 + e21 - e22
+    m = chsh_coefficients([pauli_vector(obs) for obs in sc.observables()])
+    return 2.0 * float(np.vdot(m, pauli_correlations(sc.state)))
 
 
 def max_s_over_states(sc: Scenario) -> float:
@@ -224,10 +230,7 @@ def verify_identity_sign(trials: int = 1000, seed: int = 20260808) -> SignCheck:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (0 <= seed <= rng.MASK64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    worst_plus = 0.0
-    worst_minus = 0.0
+    worst_plus = worst_minus = 0.0
     for k in range(trials):
         sc = random_scenario(rng.child_seed(seed, k))
         worst_plus = max(worst_plus, square_identity_residual(sc, 1))

@@ -35,10 +35,9 @@ _DEFAULT_IDENTITY_SEED = 20260808
 
 def _parse_seed(text: str) -> int:
     try:
-        seed = int(text, 0)
+        return int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    return seed
 
 
 @functools.cache

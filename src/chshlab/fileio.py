@@ -178,14 +178,10 @@ def run_result_from_dict(d) -> RunResult:
         raise FormatError(f"malformed run result: {exc}") from None
 
 
-def _settings_to_dict(ps: PlanarSettings) -> dict:
-    return asdict(ps)
-
-
 def _row_to_dict(row: SweepRow) -> dict:
     return {
         "phi": row.phi,
-        "settings": _settings_to_dict(row.settings),
+        "settings": asdict(row.settings),
         "comm_a_norm": row.comm_a_norm,
         "comm_b_norm": row.comm_b_norm,
         "max_s": row.max_s,

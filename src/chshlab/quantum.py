@@ -5,6 +5,14 @@ Observables are Hermitian 2x2 matrices squaring to the identity (outcomes
 are density matrices throughout; pure states enter as rank-1 projectors, so
 a single code path covers every quantum state.
 
+Every two-party statistic is one bilinear form in Pauli coordinates (Fano,
+Rev. Mod. Phys. 55, 855 (1983)), mu, nu over I, x, y, z: an observable
+M = sum_mu c_mu sigma_mu is its real 4-vector c (`pauli_vector`, identity
+component kept, so +/-I is valid input), a state its real 4x4
+R_mu,nu = tr(rho sigma_mu x sigma_nu) (`pauli_correlations`).  Then
+E(a, b) = a^T R b, p(alpha, beta) = (1/4)(e0 + alpha a)^T R (e0 + beta b),
+and the correlation tensor is R[1:, 1:].
+
 Tensor-order convention, used everywhere in this package: party A is the
 left Kronecker factor, party B the right one.
 """
@@ -21,11 +29,13 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
-# Pauli-product basis: PAULI_PRODUCTS[k, l] = sigma_k x sigma_l, k, l over x, y, z
-PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-                           for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, PAULI_PRODUCTS):
+# Pauli bases, index order I, x, y, z: PAULIS[mu] = sigma_mu and
+# PAULI_PRODUCTS[mu, nu] = sigma_mu x sigma_nu
+PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in PAULIS] for s in PAULIS])
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, PAULIS, PAULI_PRODUCTS):
     _m.flags.writeable = False
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])  # the Pauli vector of I
 
 OBSERVABLE_TOL = 1e-10
 BLOCH_UNIT_TOL = 1e-12
@@ -66,16 +76,14 @@ def observable_from_bloch(n, label: str = "") -> Observable:
     return Observable(x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z, label=label)
 
 
+def pauli_vector(obs: Observable) -> np.ndarray:
+    """Real 4-vector c with M = sum_mu c_mu sigma_mu: c_mu = Re tr(M sigma_mu) / 2."""
+    return np.einsum("ij,mji->m", obs.matrix, PAULIS).real / 2.0
+
+
 def bloch_of(obs: Observable) -> tuple[float, float, float]:
-    """Recover the Bloch vector via n_k = Re tr(M sigma_k) / 2."""
-    m = obs.matrix
-    return tuple(float(np.trace(m @ s).real) / 2.0 for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-
-
-def projectors(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projectors (P_plus, P_minus) = ((I +/- M) / 2)."""
-    m = obs.matrix
-    return (IDENTITY_2 + m) / 2.0, (IDENTITY_2 - m) / 2.0
+    """The Bloch vector (c_x, c_y, c_z) of `pauli_vector`."""
+    return tuple(float(c) for c in pauli_vector(obs)[1:])
 
 
 @dataclass(eq=False)
@@ -165,38 +173,28 @@ class JointDistribution:
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
 
 
-def _require_pair_dims(rho: DensityMatrix) -> None:
+def pauli_correlations(rho: DensityMatrix) -> np.ndarray:
+    """Real 4x4 R_mu,nu = tr(rho (sigma_mu x sigma_nu)) of a two-party state."""
     if rho.dim != 4:
         raise ValueError(f"two-party state must have dim 4, got {rho.dim}")
+    return np.einsum("ij,mnji->mn", rho.matrix, PAULI_PRODUCTS).real
 
 
 def joint_distribution(rho: DensityMatrix, a: Observable, b: Observable) -> JointDistribution:
-    """Born-rule joint outcomes: p(alpha, beta) = tr(rho (P_alpha x P_beta))."""
-    _require_pair_dims(rho)
-    pa_p, pa_m = projectors(a)
-    pb_p, pb_m = projectors(b)
-    r = rho.matrix
-
-    def p(pa, pb) -> float:
-        return float(np.trace(r @ np.kron(pa, pb)).real)
-
-    return JointDistribution(
-        p_pp=p(pa_p, pb_p), p_pm=p(pa_p, pb_m), p_mp=p(pa_m, pb_p), p_mm=p(pa_m, pb_m)
-    )
+    """Born-rule joint outcomes p(alpha, beta) = tr(rho (P_alpha x P_beta)),
+    P_alpha = (I + alpha M) / 2: (1/4) (e0 + alpha a)^T R (e0 + beta b)."""
+    r = pauli_correlations(rho)
+    u, v = (_E0 + np.outer((1.0, -1.0), pauli_vector(obs)) for obs in (a, b))
+    (pp, pm), (mp, mm) = (0.25 * u @ r @ v.T).tolist()
+    return JointDistribution(p_pp=pp, p_pm=pm, p_mp=mp, p_mm=mm)
 
 
 def correlation(rho: DensityMatrix, a: Observable, b: Observable) -> float:
-    """E(a, b) = tr(rho (A x B)), in [-1, 1] up to rounding.
-
-    Agrees with the signed sum over `joint_distribution` because
-    A x B = sum_{alpha,beta} alpha*beta P_alpha x P_beta.
-    """
-    _require_pair_dims(rho)
-    return float(np.trace(rho.matrix @ np.kron(a.matrix, b.matrix)).real)
+    """E(a, b) = tr(rho (A x B)) = a^T R b, in [-1, 1] up to rounding."""
+    return float(pauli_vector(a) @ pauli_correlations(rho) @ pauli_vector(b))
 
 
 def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
-    """Real 3x3 T_kl = tr(rho (sigma_k x sigma_l)); E(a, b) = n_a^T T n_b for
-    Bloch vectors n_a, n_b (Horodecki et al., Phys. Lett. A 200, 340 (1995))."""
-    _require_pair_dims(rho)
-    return np.einsum("ij,klji->kl", rho.matrix, PAULI_PRODUCTS).real
+    """Real 3x3 T = R[1:, 1:]; E(a, b) = n_a^T T n_b for Bloch vectors n_a, n_b
+    (Horodecki et al., Phys. Lett. A 200, 340 (1995))."""
+    return pauli_correlations(rho)[1:, 1:]

@@ -40,11 +40,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
 def child_seed(seed: int, index: int) -> int:
     """Seed of independent child stream `index` (0-based) of a master seed."""
+    _check_seed(seed)
     if index < 0:
         raise ValueError("stream index must be >= 0")
-    return mix64((seed + GOLDEN * (index + 1)) & MASK64)
+    return mix64(seed + GOLDEN * (index + 1))
 
 
 def _as_signed(k: int) -> np.int64:
@@ -55,14 +61,13 @@ def _as_signed(k: int) -> np.int64:
 def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Outputs start+1 .. start+n of the stream as a uint64 array.
 
-    Every seed enters the stream here; one outside [0, 2**64) raises
-    ValueError instead of wrapping onto another seed's stream.  Wrapping
-    64-bit multiplies run in place on the `int64` view `z` of `u`; the low 64
-    bits agree with unsigned arithmetic under two's complement, which
-    sidesteps a slow unsigned-multiply path in some numpy builds.
+    A seed outside [0, 2**64) raises ValueError, here and in `child_seed`,
+    instead of wrapping onto another seed's stream.  Wrapping 64-bit
+    multiplies run in place on the `int64` view `z` of `u`; the low 64 bits
+    agree with unsigned arithmetic under two's complement, which sidesteps a
+    slow unsigned-multiply path in some numpy builds.
     """
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    _check_seed(seed)
     if n < 0:
         raise ValueError("n must be >= 0")
     if start < 0:

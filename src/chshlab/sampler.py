@@ -3,12 +3,14 @@
 Reproducibility contract: every random draw comes from the counter-based
 generator in `rng`, so identical configurations give bit-identical results
 on any platform.  The master seed spawns one child stream per setting pair
-in the fixed order a1b1, a1b2, a2b1, a2b2 (pair index 0..3).  Shot j falls
-in the first cell of (+,+), (+,-), (-,+), (-,-) whose CDF value exceeds
-u = t * 2**-53, t the top 53 bits of stream output j.  `sample_pair` walks
-the stream in blocks of `_CHUNK` outputs and counts t < ceil(cdf_k * 2**53);
-scaling by 2**53 is exact, so the differences of these counts are the cells
-of the per-shot lookup, bit for bit, in memory that does not grow with shots.
+in the fixed order a1b1, a1b2, a2b1, a2b2 (pair index 0..3).  The cell
+probabilities come from `quantum.joint_distribution`, the Pauli-coordinate
+form (1/4)(e0 + alpha a)^T R (e0 + beta b).  Shot j falls in the first cell
+of (+,+), (+,-), (-,+), (-,-) whose CDF value exceeds u = t * 2**-53, t the
+top 53 bits of stream output j.  `sample_pair` walks the stream in blocks of
+`_CHUNK` outputs and counts t < ceil(cdf_k * 2**53); scaling by 2**53 is
+exact, so the differences of these counts are the cells of the per-shot
+lookup, bit for bit, in memory that does not grow with shots.
 
 When calling `sample_pair` directly with many seeds, derive them through
 `rng.child_seed` rather than using consecutive integers: splitmix64 streams

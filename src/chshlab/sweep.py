@@ -10,9 +10,9 @@ periodic scan brackets the best region and a golden-section search refines
 it.  All restart points derive from fixed seeds, so results are
 deterministic.
 
-Both search objectives use one kernel: with a = (sin t, cos t) on x-z Bloch
-components and M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T], S = 2 <M, T> on
-the correlation tensor's x-z block and C = sum_kl M_kl sigma_k x sigma_l.
+Both search objectives use the Pauli-coordinate kernel: with a = (sin t, cos t)
+on x-z Bloch components and M = `chsh.chsh_coefficients`, S = 2 <M, R> on the
+x-z block of R = `quantum.pauli_correlations` and C = sum_kl M_kl sigma_k x sigma_l.
 Maximizers form continuous families (a row's ceiling depends on beta1 - beta2
 only), so reported settings and s_singlet are one maximizer, not the unique
 one; reported values are recomputed through the validated `chsh` path.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .chsh import Scenario, commutator_norms, max_s_over_states, s_value
-from .quantum import PAULI_PRODUCTS, DensityMatrix, correlation_tensor, observable_from_bloch
+from .chsh import Scenario, chsh_coefficients, commutator_norms, max_s_over_states, s_value
+from .quantum import PAULI_PRODUCTS, DensityMatrix, observable_from_bloch, pauli_correlations
 
 _TWO_PI = 2.0 * np.pi
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -39,9 +39,8 @@ _OPTIMIZER_SEED = 0x0C0A5CE27
 _SWEEP_SEED = 0x51EE9B0A7
 
 # x-z block of the Pauli-product basis (real symmetric), flattened for one matmul
-_XZ = (0, 2)
+_XZ = (1, 3)
 _BASIS_XZ = PAULI_PRODUCTS[np.ix_(_XZ, _XZ)].real.reshape(4, 16)
-_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass
@@ -160,8 +159,7 @@ def _coordinate_ascent(f, start, xtol: float, vtol: float, max_cycles: int):
 
 def _planar_coefficients(angles) -> np.ndarray:
     """M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T] on x-z Bloch components."""
-    v = np.stack((np.sin(angles), np.cos(angles)), axis=1)  # rows a1, a2, b1, b2
-    return 0.5 * v[:2].T @ (_SUM_DIFF @ v[2:])
+    return chsh_coefficients(np.stack((np.sin(angles), np.cos(angles)), axis=1))
 
 
 def _better(s: float, tup, best_s: float | None, best_tup) -> bool:
@@ -183,7 +181,7 @@ def optimize_settings(
         raise ValueError("restarts >= 1 required")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    t_xz = correlation_tensor(state)[np.ix_(_XZ, _XZ)]  # checks dim 4
+    t_xz = pauli_correlations(state)[np.ix_(_XZ, _XZ)]  # checks dim 4
 
     def objective(angles):
         return 2.0 * float(np.vdot(_planar_coefficients(angles), t_xz))

@@ -70,3 +70,21 @@ def partial_trace(m, keep):
         return np.einsum("kikj->ij", t)
     raise ValueError(keep)
 
+
+def kron_trace(rho, x, y):
+    """Independent oracle Re tr(rho (x ⊗ y)) by an explicit Kronecker product."""
+    return float(np.trace(np.asarray(rho) @ np.kron(x, y)).real)
+
+
+def born_joint(rho, a, b):
+    """Independent Born-rule oracle for 4x4 rho and 2x2 observables a, b:
+    p(alpha, beta) = tr(rho (P_alpha ⊗ P_beta)), P_alpha = (I + alpha a) / 2,
+    in cell order (+,+), (+,-), (-,+), (-,-)."""
+    eye = np.eye(2)
+    return np.array(
+        [
+            kron_trace(rho, (eye + s * np.asarray(a)) / 2.0, (eye + t * np.asarray(b)) / 2.0)
+            for s in (1, -1)
+            for t in (1, -1)
+        ]
+    )

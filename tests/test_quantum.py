@@ -4,6 +4,7 @@ import pytest
 from chshlab import (
     DensityMatrix,
     Observable,
+    Scenario,
     bell_state,
     bloch_of,
     correlation,
@@ -11,13 +12,30 @@ from chshlab import (
     joint_distribution,
     maximally_mixed,
     observable_from_bloch,
-    projectors,
     pure_state,
+    s_value,
+    sample_pair,
 )
 from chshlab.linalg import frobenius, hermitian_eigen
-from chshlab.quantum import BELL_STATE_NAMES, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from chshlab.quantum import (
+    BELL_STATE_NAMES,
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    pauli_correlations,
+    pauli_vector,
+)
 
-from helpers import partial_trace, random_bloch, random_density, random_observable
+from helpers import (
+    born_joint,
+    kron_trace,
+    partial_trace,
+    random_bloch,
+    random_density,
+    random_observable,
+    random_qubit_density,
+)
 
 
 class TestObservable:
@@ -58,24 +76,6 @@ class TestObservable:
     def test_label_appears_in_diagnostics(self):
         with pytest.raises(ValueError, match="'b2'"):
             Observable(np.diag([1.0, 0.5]).astype(complex), label="b2")
-
-
-class TestProjectors:
-    def test_sigma_z_case(self):
-        p_plus, p_minus = projectors(observable_from_bloch((0, 0, 1)))
-        assert np.array_equal(p_plus, np.diag([1.0, 0.0]).astype(complex))
-        assert np.array_equal(p_minus, np.diag([0.0, 1.0]).astype(complex))
-
-    def test_projector_algebra(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            obs = random_observable(rng)
-            p, m = projectors(obs)
-            assert frobenius(p @ p - p) < 1e-10
-            assert frobenius(m @ m - m) < 1e-10
-            assert frobenius(p @ m) < 1e-12
-            assert frobenius(p + m - IDENTITY_2) < 1e-14
-            assert frobenius(p - m - obs.matrix) < 1e-14
 
 
 class TestStates:
@@ -161,8 +161,7 @@ class TestJointDistribution:
             a = random_observable(rng)
             b = random_observable(rng)
             d = joint_distribution(rho, a, b)
-            p_plus, _ = projectors(a)
-            direct = float(np.trace(rho.matrix @ np.kron(p_plus, IDENTITY_2)).real)
+            direct = kron_trace(rho.matrix, (IDENTITY_2 + a.matrix) / 2.0, IDENTITY_2)
             assert abs((d.p_pp + d.p_pm) - direct) < 1e-10
 
 
@@ -194,7 +193,9 @@ class TestCorrelation:
             b = random_observable(rng)
             via_trace = correlation(rho, a, b)
             via_distribution = joint_distribution(rho, a, b).expectation()
-            assert abs(via_trace - via_distribution) < 1e-10
+            oracle = kron_trace(rho.matrix, a.matrix, b.matrix)
+            assert abs(via_trace - oracle) < 1e-10
+            assert abs(via_distribution - oracle) < 1e-10
             assert -1.0 - 1e-10 <= via_trace <= 1.0 + 1e-10
 
 
@@ -205,9 +206,77 @@ class TestCorrelationTensor:
             rho = random_density(rng)
             u, v = random_bloch(rng), random_bloch(rng)
             got = np.asarray(u) @ correlation_tensor(rho) @ np.asarray(v)
-            want = correlation(rho, observable_from_bloch(u), observable_from_bloch(v))
+            want = kron_trace(
+                rho.matrix, observable_from_bloch(u).matrix, observable_from_bloch(v).matrix
+            )
             assert abs(got - want) < 1e-12
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dim 4"):
             correlation_tensor(DensityMatrix(np.eye(2, dtype=complex) / 2.0))
+
+
+class TestPauliCoordinates:
+    def test_pauli_vector_of_bloch_observable_is_exact(self):
+        rng = np.random.default_rng(51)
+        for _ in range(100):
+            n = random_bloch(rng)
+            assert pauli_vector(observable_from_bloch(n)).tolist() == [0.0, *n]
+
+    def test_pauli_vector_keeps_identity_component(self):
+        assert pauli_vector(Observable(IDENTITY_2)).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert pauli_vector(Observable(-IDENTITY_2)).tolist() == [-1.0, 0.0, 0.0, 0.0]
+
+    def test_correlations_of_product_state(self):
+        # R of rho_A x rho_B is the outer product of (1, r_A) and (1, r_B)
+        rng = np.random.default_rng(52)
+        rho_a, rho_b = random_qubit_density(rng), random_qubit_density(rng)
+        r = pauli_correlations(DensityMatrix(np.kron(rho_a, rho_b)))
+        ca = [np.trace(rho_a @ s).real for s in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        cb = [np.trace(rho_b @ s).real for s in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        assert np.allclose(r, np.outer(ca, cb), atol=1e-15)
+
+    def test_dimension_check(self):
+        with pytest.raises(ValueError, match="dim 4"):
+            pauli_correlations(DensityMatrix(IDENTITY_2 / 2.0))
+
+
+class TestIdentityComponent:
+    """Observable(+/-I) on a product state with nonzero local Bloch vectors:
+    the identity and marginal terms that a Bloch-only Fano form would drop."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(53)
+        self.rho = DensityMatrix(np.kron(random_qubit_density(rng), random_qubit_density(rng)))
+        self.obs = [
+            Observable(IDENTITY_2, "id"),
+            Observable(-IDENTITY_2, "-id"),
+            random_observable(rng, "a"),
+            random_observable(rng, "b"),
+        ]
+
+    def test_statistics_match_kron_oracle(self):
+        r = self.rho.matrix
+        for a in self.obs:
+            for b in self.obs:
+                want = born_joint(r, a.matrix, b.matrix)
+                got = joint_distribution(self.rho, a, b).as_array()
+                assert np.max(np.abs(got - want)) < 1e-12
+                assert abs(correlation(self.rho, a, b) - kron_trace(r, a.matrix, b.matrix)) < 1e-12
+        ident, minus, a, b = self.obs
+        want_s = sum(
+            sign * kron_trace(r, x.matrix, y.matrix)
+            for sign, x, y in ((1, ident, minus), (1, ident, b), (1, a, minus), (-1, a, b))
+        )
+        assert abs(s_value(Scenario(ident, a, minus, b, state=self.rho)) - want_s) < 1e-12
+
+    def test_sampler_cells_follow_oracle(self):
+        shots = 40_000
+        for k, (x, y) in enumerate(((0, 3), (2, 1), (0, 1))):
+            a, b = self.obs[x], self.obs[y]
+            counts = sample_pair(self.rho, a, b, shots, seed=900 + k)
+            got = np.array([counts.pp, counts.pm, counts.mp, counts.mm])
+            want = born_joint(self.rho.matrix, a.matrix, b.matrix)
+            assert np.array_equal(got[want == 0.0], np.zeros(np.sum(want == 0.0)))
+            sigma = np.sqrt(shots * want * (1.0 - want))
+            assert np.all(np.abs(got - shots * want) <= 5.0 * sigma + 1e-9)

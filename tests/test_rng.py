@@ -66,6 +66,14 @@ def test_child_seed_distinct_and_deterministic():
         rng.child_seed(1, -1)
 
 
+@pytest.mark.parametrize("seed", [-1, MASK + 1 + 5])
+def test_child_seed_rejects_out_of_range_master(seed):
+    # wrapping would alias child_seed(-1, k) onto child_seed(2**64 - 1, k) and
+    # child_seed(2**64 + 5, k) onto child_seed(5, k)
+    with pytest.raises(ValueError, match="unsigned 64-bit integer, got"):
+        rng.child_seed(seed, 0)
+
+
 def test_counter_prefix_property():
     # a counter-based stream is length-independent: shorter draws are prefixes
     long = rng.uniforms(31337, 1000)
