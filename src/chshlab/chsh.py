@@ -16,20 +16,35 @@ establishes it by brute force over random scenarios, and `IDENTITY_SIGN`
 records the result.  The identity makes the package's central fact
 mechanical: if either local commutator vanishes, C^2 = I, hence no state
 violates |S| <= 2 - and both commutators live on a single party's side.
+
+Every operator-level number comes from one stacked kernel over N scenarios
+(`_chsh_pass`).  C is built in Pauli coordinates, C = sum M_mu,nu
+sigma_mu x sigma_nu with M = `chsh_coefficients` of the settings' Pauli
+vectors, against the constant `quantum.PAULI_PRODUCTS`; the local commutators
+are batched 2x2 products; one pass returns C, both commutator norms and the
+identity residuals of both signs.  `analyze`, `chsh_operator`,
+`commutator_norms` and `square_identity_residual` run it with N = 1;
+`verify_identity_sign` runs it on blocks of _BLOCK random trials, drawn for a
+whole block at once from the child streams of its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, rng
-from .quantum import (DensityMatrix, Observable, observable_from_bloch, pauli_correlations,
-                      pauli_vector, pure_state)
+from .quantum import (PAULI_PRODUCTS, DensityMatrix, Observable, bloch_settings,
+                      observable_from_bloch, pauli_correlations, pauli_vector, pure_state)
 
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
+_PRODUCTS = PAULI_PRODUCTS.reshape(16, 16)  # row 4 mu + nu: sigma_mu x sigma_nu, flattened
+_SIGNS = (1, -1)  # column order of the identity residuals
+# trials per array pass of verify_identity_sign; bounds its memory at any trial count
+_BLOCK = 1024
 
 # Sign of the commutator term in C^2 = I + sign * (1/4)[a1,a2] x [b1,b2].
 # Fixed by verify_identity_sign() (see also the check-identity CLI command),
@@ -65,18 +80,51 @@ class Scenario:
         return self.a1, self.a2, self.b1, self.b2
 
 
+def chsh_coefficients(vectors) -> np.ndarray:
+    """M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T] for coordinate rows a1, a2, b1, b2
+    (stacked over any leading axes); on Pauli 4-vectors C = sum M_mu,nu
+    sigma_mu x sigma_nu and S = 2 <M, R>."""
+    v = np.asarray(vectors)
+    return 0.5 * v[..., :2, :].swapaxes(-2, -1) @ (_SUM_DIFF @ v[..., 2:, :])
+
+
+class _Pass(NamedTuple):
+    """One stacked evaluation of N scenarios."""
+
+    operator: np.ndarray  # (N, 4, 4) C
+    commutator_norms: np.ndarray  # (N, 2) spectral norms of [a1, a2] and [b1, b2]
+    residuals: np.ndarray  # (N, 2) identity residuals, signs in _SIGNS order
+
+
+def _chsh_pass(vectors: np.ndarray, settings: np.ndarray) -> _Pass:
+    """C, both local commutator norms and both identity residuals of N scenarios.
+
+    `vectors` (N, 4, 4) are the Pauli vectors of a1, a2, b1, b2 and
+    `settings` (N, 4, 2, 2) their matrices.  C = sum M_mu,nu sigma_mu x sigma_nu
+    over the stacked `chsh_coefficients`; the commutators are batched 2x2
+    products.  i[x, y] is traceless Hermitian, so its spectral norm is its
+    Frobenius norm over sqrt 2.
+    """
+    n = len(vectors)
+    c = (chsh_coefficients(vectors).reshape(n, 16) @ _PRODUCTS).reshape(n, 4, 4)
+    firsts, seconds = settings[:, 0::2], settings[:, 1::2]  # (a1, b1), (a2, b2)
+    comm = firsts @ seconds - seconds @ firsts
+    term = 0.25 * np.einsum("nij,nkl->nikjl", comm[:, 0], comm[:, 1]).reshape(n, 1, 4, 4)
+    target = np.eye(4) + np.array(_SIGNS)[:, None, None] * term
+    residuals = np.linalg.norm((c @ c)[:, None] - target, axis=(-2, -1))
+    return _Pass(c, np.linalg.norm(comm, axis=(-2, -1)) / np.sqrt(2.0), residuals)
+
+
+def _scenario_pass(sc: Scenario) -> _Pass:
+    """The N = 1 pass over one scenario's settings."""
+    obs = sc.observables()
+    return _chsh_pass(np.array([[pauli_vector(o) for o in obs]]),
+                      np.array([[o.matrix for o in obs]]))
+
+
 def chsh_operator(sc: Scenario) -> np.ndarray:
     """C = (1/2)[a1 x (b1 + b2) + a2 x (b1 - b2)], a Hermitian 4x4 matrix."""
-    b_sum = sc.b1.matrix + sc.b2.matrix
-    b_diff = sc.b1.matrix - sc.b2.matrix
-    return 0.5 * (np.kron(sc.a1.matrix, b_sum) + np.kron(sc.a2.matrix, b_diff))
-
-
-def chsh_coefficients(vectors) -> np.ndarray:
-    """M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T] for coordinate rows a1, a2, b1, b2;
-    on Pauli 4-vectors C = sum M_mu,nu sigma_mu x sigma_nu and S = 2 <M, R>."""
-    v = np.asarray(vectors)
-    return 0.5 * v[:2].T @ (_SUM_DIFF @ v[2:])
+    return _scenario_pass(sc).operator[0]
 
 
 def square_identity_residual(sc: Scenario, sign: int) -> float:
@@ -86,26 +134,18 @@ def square_identity_residual(sc: Scenario, sign: int) -> float:
     when a1 = a2 or b1 = b2 the commutator term vanishes and the two signs
     agree.
     """
-    if sign not in (1, -1):
+    if sign not in _SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    c = chsh_operator(sc)
-    comm_a = linalg.commutator(sc.a1.matrix, sc.a2.matrix)
-    comm_b = linalg.commutator(sc.b1.matrix, sc.b2.matrix)
-    target = np.eye(4, dtype=np.complex128) + sign * 0.25 * np.kron(comm_a, comm_b)
-    return linalg.frobenius(c @ c - target)
+    return float(_scenario_pass(sc).residuals[0, _SIGNS.index(sign)])
 
 
 def commutator_norms(sc: Scenario) -> tuple[float, float]:
-    """Spectral norms of the two local commutators.
+    """Spectral norms of the two local commutators [a1, a2] and [b1, b2].
 
-    Computed as the operator norm of the Hermitian matrix i[x, y], which
-    equals the spectral norm of the anti-Hermitian commutator itself and
-    keeps the Hermitian eigensolver applicable.  Ranges over [0, 2] for
-    +1/-1 valued observables; 0 means the pair is jointly measurable.
+    Ranges over [0, 2] for +1/-1 valued observables; 0 means the pair is
+    jointly measurable.
     """
-    comm_a = 1j * linalg.commutator(sc.a1.matrix, sc.a2.matrix)
-    comm_b = 1j * linalg.commutator(sc.b1.matrix, sc.b2.matrix)
-    return linalg.operator_norm(comm_a), linalg.operator_norm(comm_b)
+    return tuple(_scenario_pass(sc).commutator_norms[0].tolist())
 
 
 def check_state_independent_bound(sc: Scenario) -> bool:
@@ -160,8 +200,9 @@ def analyze(sc: Scenario) -> Report:
     """Full report: S (if a state is present), 2||C||, local commutator
     norms, the C^2 identity residual at the verified sign, and the
     violation verdict max_s > 2 + 1e-9."""
-    nrm = linalg.operator_norm(chsh_operator(sc))
-    comm_a, comm_b = commutator_norms(sc)
+    p = _scenario_pass(sc)
+    nrm = linalg.operator_norm(p.operator[0])
+    comm_a, comm_b = p.commutator_norms[0].tolist()
     max_s = 2.0 * nrm
     return Report(
         s_value=s_value(sc) if sc.state is not None else None,
@@ -169,19 +210,23 @@ def analyze(sc: Scenario) -> Report:
         chsh_operator_norm=nrm,
         comm_a_norm=comm_a,
         comm_b_norm=comm_b,
-        identity_residual=square_identity_residual(sc, IDENTITY_SIGN),
+        identity_residual=float(p.residuals[0, _SIGNS.index(IDENTITY_SIGN)]),
         identity_sign=IDENTITY_SIGN,
         violates=bool(max_s > 2.0 + VIOLATION_TOL),
     )
 
 
+def _sphere(u: np.ndarray) -> np.ndarray:
+    """Uniforms (..., 2n) -> n unit vectors (..., n, 3), uniform on the sphere."""
+    z = 2.0 * u[..., 0::2] - 1.0
+    phi = 2.0 * np.pi * u[..., 1::2]
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+
+
 def random_bloch_vectors(seed: int, n: int) -> np.ndarray:
     """n unit vectors drawn uniformly on the sphere from the seeded stream."""
-    u = rng.uniforms(seed, 2 * n)
-    z = 2.0 * u[0::2] - 1.0
-    phi = 2.0 * np.pi * u[1::2]
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    return _sphere(rng.uniforms(seed, 2 * n))
 
 
 def random_scenario(seed: int, state: DensityMatrix | None = None) -> Scenario:
@@ -224,20 +269,23 @@ class SignCheck:
 def verify_identity_sign(trials: int = 1000, seed: int = 20260808) -> SignCheck:
     """Brute-force the sign of the C^2 identity over random scenarios.
 
-    Evaluates `square_identity_residual` for both signs on `trials` random
-    scenarios, drawn from child streams of the unsigned 64-bit `seed`, and
-    records the maximum residual of each convention against VIOLATION_TOL.
+    Trial k is `random_scenario(rng.child_seed(seed, k))` for the unsigned
+    64-bit `seed`.  The trials run _BLOCK at a time, each block one
+    `_chsh_pass`: `rng.child_uniforms` draws the settings of all its child
+    streams at once and `bloch_settings` checks them as `observable_from_bloch`
+    would.  Records the maximum residual of each sign against VIOLATION_TOL;
+    the maxima do not depend on where the blocks split.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    worst_plus = worst_minus = 0.0
-    for k in range(trials):
-        sc = random_scenario(rng.child_seed(seed, k))
-        worst_plus = max(worst_plus, square_identity_residual(sc, 1))
-        worst_minus = max(worst_minus, square_identity_residual(sc, -1))
+    worst = np.zeros(len(_SIGNS))
+    for start in range(0, trials, _BLOCK):
+        count = min(_BLOCK, trials - start)
+        vectors = _sphere(rng.child_uniforms(seed, count, 8, start))
+        worst = np.maximum(worst, _chsh_pass(*bloch_settings(vectors)).residuals.max(axis=0))
     return SignCheck(
         trials=trials,
-        max_residual_plus=worst_plus,
-        max_residual_minus=worst_minus,
+        max_residual_plus=float(worst[0]),
+        max_residual_minus=float(worst[1]),
         tolerance=VIOLATION_TOL,
     )

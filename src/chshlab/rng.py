@@ -19,7 +19,10 @@ Being a pure counter scheme, the stream needs no sequential state,
 vectorizes, and any block of it can be generated on its own (`raw64` with a
 counter offset); `uniforms` is the bulk path and `mix64` the scalar reference.
 Child streams come from `child_seed`, which feeds the master seed and the
-stream index back through the same mixer.
+stream index back through the same mixer: child_seed(s, k) is exactly output
+k+1 of the master stream, raw64(s, n)[k].  So `child_uniforms` draws many
+child streams in one array pass, the seeds from `raw64` and their counters
+through the same in-place mixer (`_mix`).
 """
 
 from __future__ import annotations
@@ -58,23 +61,13 @@ def _as_signed(k: int) -> np.int64:
     return np.int64(k - (1 << 64)) if k >= (1 << 63) else np.int64(k)
 
 
-def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Outputs start+1 .. start+n of the stream as a uint64 array.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of every entry of the int64 array `z`, in place.
 
-    A seed outside [0, 2**64) raises ValueError, here and in `child_seed`,
-    instead of wrapping onto another seed's stream.  Wrapping 64-bit
-    multiplies run in place on the `int64` view `z` of `u`; the low 64 bits
-    agree with unsigned arithmetic under two's complement, which sidesteps a
-    slow unsigned-multiply path in some numpy builds.
+    Wrapping 64-bit multiplies run on `z` itself; the low 64 bits agree with
+    unsigned arithmetic under two's complement, which sidesteps a slow
+    unsigned-multiply path in some numpy builds.  Returns the uint64 view.
     """
-    _check_seed(seed)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    z = np.arange(n, dtype=np.int64)
-    z *= _as_signed(GOLDEN)
-    z += _as_signed((seed + (start + 1) * GOLDEN) & MASK64)
     u = z.view(np.uint64)
     u ^= u >> np.uint64(30)
     z *= _as_signed(_MIX_A)
@@ -84,7 +77,41 @@ def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
     return u
 
 
+def _unit(u: np.ndarray) -> np.ndarray:
+    """Top 53 bits of uint64 outputs as doubles in [0, 1)."""
+    return (u >> np.uint64(11)).view(np.int64).astype(np.float64) * 2.0**-53
+
+
+def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Outputs start+1 .. start+n of the stream as a uint64 array.
+
+    A seed outside [0, 2**64) raises ValueError, here and in `child_seed`,
+    instead of wrapping onto another seed's stream.
+    """
+    _check_seed(seed)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    z = np.arange(n, dtype=np.int64)
+    z *= _as_signed(GOLDEN)
+    z += _as_signed((seed + (start + 1) * GOLDEN) & MASK64)
+    return _mix(z)
+
+
 def uniforms(seed: int, n: int) -> np.ndarray:
     """n doubles in [0, 1), bit-reproducible for a given seed."""
-    top53 = raw64(seed, n) >> np.uint64(11)
-    return top53.view(np.int64).astype(np.float64) * 2.0**-53
+    return _unit(raw64(seed, n))
+
+
+def child_uniforms(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
+    """(count, n) array whose row k is `uniforms(child_seed(seed, start + k), n)`.
+
+    The child seeds are outputs start+1 .. start+count of the master stream
+    (`raw64`), and every row's counters are mixed in one pass.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    steps = np.arange(1, n + 1, dtype=np.int64)
+    steps *= _as_signed(GOLDEN)
+    return _unit(_mix(raw64(seed, count, start).view(np.int64)[:, None] + steps))

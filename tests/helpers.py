@@ -88,3 +88,10 @@ def born_joint(rho, a, b):
             for t in (1, -1)
         ]
     )
+
+
+def kron_chsh_operator(a1, a2, b1, b2):
+    """Independent oracle C = (1/2)[a1 ⊗ (b1 + b2) + a2 ⊗ (b1 - b2)] by explicit
+    Kronecker products of the 2x2 setting matrices."""
+    a1, a2, b1, b2 = (np.asarray(m) for m in (a1, a2, b1, b2))
+    return 0.5 * (np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))

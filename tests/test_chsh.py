@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,12 @@ from chshlab import (
     square_identity_residual,
     verify_identity_sign,
 )
+from chshlab import chsh, rng
 from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_scenario
 from chshlab.linalg import frobenius
-from chshlab.quantum import SIGMA_X, SIGMA_Z
+from chshlab.quantum import SIGMA_X, SIGMA_Z, pauli_vector
 
-from helpers import random_observable, random_qubit_density
+from helpers import kron_chsh_operator, random_observable, random_qubit_density
 from helpers import random_scenario as np_random_scenario
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -67,6 +70,66 @@ class TestChshOperator:
         assert frobenius(chsh_operator(sc) - np.kron(a1.matrix, b.matrix)) < 1e-14
         nrm = max_s_over_states(sc) / 2.0
         assert abs(nrm - 1.0) < 1e-10
+
+
+class TestStackedPass:
+    def test_operator_matches_kron_oracle(self):
+        rng_np = np.random.default_rng(66)
+        scenarios = [np_random_scenario(rng_np) for _ in range(300)]
+        scenarios.append(Scenario(Observable(np.eye(2), "a1"), *scenarios[0].observables()[1:]))
+        vectors = np.array([[pauli_vector(o) for o in sc.observables()] for sc in scenarios])
+        settings = np.array([[o.matrix for o in sc.observables()] for sc in scenarios])
+        got = chsh._chsh_pass(vectors, settings).operator
+        for c, sc in zip(got, scenarios):
+            want = kron_chsh_operator(*(o.matrix for o in sc.observables()))
+            assert np.max(np.abs(c - want)) <= 1e-15
+            assert np.max(np.abs(chsh_operator(sc) - want)) <= 1e-15
+
+    def test_commutator_norms_match_spectral_oracle(self):
+        rng_np = np.random.default_rng(67)
+        for _ in range(200):
+            sc = np_random_scenario(rng_np)
+            a1, a2, b1, b2 = (o.matrix for o in sc.observables())
+            want = [np.linalg.norm(x @ y - y @ x, 2) for x, y in ((a1, a2), (b1, b2))]
+            assert np.allclose(commutator_norms(sc), want, rtol=0.0, atol=1e-14)
+
+
+class TestBlockedIdentityCheck:
+    def test_batched_bloch_vectors_are_the_child_streams(self):
+        seed, start = 20260808, chsh._BLOCK - 3
+        got = chsh._sphere(rng.child_uniforms(seed, 6, 8, start))
+        for k, vecs in enumerate(got):
+            assert np.array_equal(vecs, random_bloch_vectors(rng.child_seed(seed, start + k), 4))
+
+    @pytest.mark.parametrize("trials", [1, chsh._BLOCK - 1, chsh._BLOCK + 1])
+    def test_residuals_match_per_trial_loop(self, trials):
+        seed = 8675309
+        loop = np.zeros(2)
+        for k in range(trials):
+            sc = random_scenario(rng.child_seed(seed, k))
+            loop = np.maximum(loop, [square_identity_residual(sc, s) for s in (1, -1)])
+        check = verify_identity_sign(trials, seed)
+        assert abs(check.max_residual_plus - loop[0]) <= 1e-15
+        assert abs(check.max_residual_minus - loop[1]) <= 1e-15
+        want = SignCheck(trials, float(loop[0]), float(loop[1]), VIOLATION_TOL).verified_sign
+        assert check.verified_sign == want == -1
+
+    def test_result_does_not_depend_on_block_edges(self, monkeypatch):
+        want = verify_identity_sign(300, 99)
+        for block in (1, 7, 299):
+            monkeypatch.setattr(chsh, "_BLOCK", block)
+            assert verify_identity_sign(300, 99) == want
+
+    def test_memory_is_bounded_at_any_trial_count(self):
+        verify_identity_sign(10)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            check = verify_identity_sign(50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.verified_sign == -1
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSquareIdentity:

@@ -74,6 +74,31 @@ def test_child_seed_rejects_out_of_range_master(seed):
         rng.child_seed(seed, 0)
 
 
+@pytest.mark.parametrize("seed", [0, MASK])
+def test_child_seeds_are_the_master_stream(seed):
+    # child_seed(seed, k) = mix64(seed + (k + 1) GOLDEN) is output k + 1 of the stream
+    raw = rng.raw64(seed, 1000)
+    assert [int(v) for v in raw] == [rng.child_seed(seed, k) for k in range(1000)]
+
+
+@pytest.mark.parametrize("seed", [0, MASK])
+@pytest.mark.parametrize("start, count", [(0, 300), (997, 6)])
+def test_child_uniforms_are_the_child_streams(seed, start, count):
+    got = rng.child_uniforms(seed, count, 8, start)
+    want = [rng.uniforms(rng.child_seed(seed, start + k), 8) for k in range(count)]
+    assert got.shape == (count, 8)
+    assert np.array_equal(got, np.array(want))
+
+
+def test_child_uniforms_checks_its_arguments():
+    assert rng.child_uniforms(3, 0, 8).shape == (0, 8)
+    assert rng.child_uniforms(3, 2, 0).shape == (2, 0)
+    with pytest.raises(ValueError, match="n must be"):
+        rng.child_uniforms(3, 2, -1)
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        rng.child_uniforms(MASK + 1, 2, 8)
+
+
 def test_counter_prefix_property():
     # a counter-based stream is length-independent: shorter draws are prefixes
     long = rng.uniforms(31337, 1000)
