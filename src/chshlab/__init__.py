@@ -18,6 +18,7 @@ from .chsh import (
     chsh_operator,
     commutator_norms,
     extremal_eigenstate,
+    max_s_over_settings,
     max_s_over_states,
     s_value,
     square_identity_residual,
@@ -67,6 +68,7 @@ __all__ = [
     "chsh_operator",
     "commutator_norms",
     "extremal_eigenstate",
+    "max_s_over_settings",
     "max_s_over_states",
     "s_value",
     "square_identity_residual",

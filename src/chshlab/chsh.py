@@ -23,7 +23,8 @@ sigma_mu x sigma_nu with M = `chsh_coefficients` of the settings' Pauli
 vectors, against the constant `quantum.PAULI_PRODUCTS`; the local commutators
 are batched 2x2 products; one pass returns C, both commutator norms and the
 identity residuals of both signs.  `analyze`, `chsh_operator`,
-`commutator_norms` and `square_identity_residual` run it with N = 1;
+`commutator_norms`, `square_identity_residual` and each `sweep` row run it
+with N = 1;
 `verify_identity_sign` runs it on blocks of _BLOCK random trials, drawn for a
 whole block at once from the child streams of its seed.
 """
@@ -37,7 +38,8 @@ import numpy as np
 
 from . import linalg, rng
 from .quantum import (PAULI_PRODUCTS, DensityMatrix, Observable, bloch_settings,
-                      observable_from_bloch, pauli_correlations, pauli_vector, pure_state)
+                      correlation_tensor, observable_from_bloch, pauli_correlations,
+                      pauli_vector, pure_state)
 
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -165,6 +167,15 @@ def s_value(sc: Scenario) -> float:
 def max_s_over_states(sc: Scenario) -> float:
     """sup |S| over all states: 2 ||C||, attained on an extremal eigenstate."""
     return 2.0 * linalg.operator_norm(chsh_operator(sc))
+
+
+def max_s_over_settings(state: DensityMatrix) -> float:
+    """sup |S| over all settings at `state`, the dual of 2||C||: 2 sqrt(m1 + m2)
+    for the two largest eigenvalues m1, m2 of T^T T, T = `correlation_tensor`
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  m1, m2
+    are the squares of T's two largest singular values."""
+    s = np.linalg.svd(correlation_tensor(state), compute_uv=False)
+    return 2.0 * float(np.hypot(s[0], s[1]))
 
 
 def extremal_eigenstate(sc: Scenario) -> DensityMatrix:

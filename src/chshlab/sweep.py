@@ -1,46 +1,47 @@
-"""Parameter exploration: angle grids, incompatibility sweeps, optimization.
+"""Parameter exploration: planar settings, incompatibility sweeps, optimization.
 
 Settings live in the x-z plane: angle t means cos(t)*sz + sin(t)*sx, i.e.
-the Bloch vector (sin t, 0, cos t).  For two-qubit CHSH with the states used
-here this loses nothing of the maximum and keeps searches four-dimensional;
-full Bloch input remains available through the engine API.
+the Bloch vector (sin t, 0, cos t), whose x-z components are
+e(t) = (sin t, cos t).  For the named states (the Bell states, whose
+correlation tensor is diagonal with entries +-1, and `maximally_mixed`) this
+loses nothing of the maximum over all settings.  For a general state it can
+lose a lot: `chsh.max_s_over_settings` gives the full optimum, and full
+Bloch input remains available through the engine API.
 
-The optimizer is derivative-free coordinate ascent: per coordinate a coarse
-periodic scan brackets the best region and a golden-section search refines
-it.  All restart points derive from fixed seeds, so results are
-deterministic.
+Both searches are closed forms on the x-z block T of
+R = `quantum.pauli_correlations`, where S = a1^T T (b1 + b2) + a2^T T (b1 - b2):
 
-Both search objectives use the Pauli-coordinate kernel: with a = (sin t, cos t)
-on x-z Bloch components and M = `chsh.chsh_coefficients`, S = 2 <M, R> on the
-x-z block of R = `quantum.pauli_correlations` and C = sum_kl M_kl sigma_k x sigma_l.
-Maximizers form continuous families (a row's ceiling depends on beta1 - beta2
-only), so reported settings and s_singlet are one maximizer, not the unique
-one; reported values are recomputed through the validated `chsh` path.
+- `optimize_settings` writes T = W(alpha) diag(s1, s2) W(gamma)^T with
+  W(t) = [e(t), e(t + pi/2)], so s1 >= |s2| and s1 +- s2 and alpha -+ gamma
+  are one hypot and one atan2 of T's entries each; a1 = alpha,
+  a2 = alpha + sign(s2) pi/2 and b1,2 = gamma +- atan2(|s2|, s1) reach
+  2 sqrt(s1^2 + s2^2) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200,
+  340 (1995)).
+- Each `incompatibility_sweep` row reaches Landau's ceiling
+  2 sqrt(1 + sin phi) with beta1 - beta2 = +-pi/2 (Landau, Phys. Lett. A 120,
+  54 (1987)); S at the supplied state is then a sinusoid A cos g + B sin g
+  in the common B rotation g: one hypot per sign picks the sign, one atan2
+  the rotation.
+
+Maximizers form continuous families, most visibly on degenerate spectra (the
+singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
+pick one canonical representative that does not depend on any LAPACK build.
+Reported values are recomputed through the validated `chsh` path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .chsh import Scenario, chsh_coefficients, commutator_norms, max_s_over_states, s_value
-from .quantum import PAULI_PRODUCTS, DensityMatrix, observable_from_bloch, pauli_correlations
+from .chsh import Scenario, _scenario_pass, s_value
+from .linalg import operator_norm
+from .quantum import DensityMatrix, observable_from_bloch, pauli_correlations
 
 _TWO_PI = 2.0 * np.pi
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_SCAN_POINTS = 8
-_MAX_CYCLES = 200
-
-# fixed stream seeds for restart generation (documented; not user-tunable,
-# so identical calls give identical optima)
-_OPTIMIZER_SEED = 0x0C0A5CE27
-_SWEEP_SEED = 0x51EE9B0A7
-
-# x-z block of the Pauli-product basis (real symmetric), flattened for one matmul
-_XZ = (1, 3)
-_BASIS_XZ = PAULI_PRODUCTS[np.ix_(_XZ, _XZ)].real.reshape(4, 16)
+_XZ = (1, 3)  # Pauli indices of the x-z plane
 
 
 @dataclass
@@ -92,10 +93,11 @@ class SweepResult:
 
 @dataclass
 class OptimizeResult:
-    """Best planar settings found, with the S value reached there.
+    """Maximizing planar settings, with the S value reached there.
 
-    `converged` is False when the cycle cap hit before the per-cycle
-    improvement fell under tolerance; the result is then best-so-far.
+    The maximizer is exact, so `converged` is always True and `cycles`
+    always 0.  Both stay only because the benchmark's tracer reads them;
+    they can go when it stops.
     """
 
     settings: PlanarSettings
@@ -104,109 +106,53 @@ class OptimizeResult:
     cycles: int
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = f(c)
-    fd = f(d)
-    while (hi - lo) > xtol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _xz_block(state: DensityMatrix) -> list[list[float]]:
+    """[[T_xx, T_xz], [T_zx, T_zz]] of the state; checks dim 4."""
+    return pauli_correlations(state)[np.ix_(_XZ, _XZ)].tolist()
 
 
-def _line_max(f, x0: float, xtol: float) -> tuple[float, float]:
-    # periodic objective: coarse scan over one period, then refine around
-    # the best sample (the max is interior to a one-step bracket)
-    step = _TWO_PI / _SCAN_POINTS
-    xs = x0 + step * np.arange(_SCAN_POINTS)
-    vals = [f(x) for x in xs]
-    k = int(np.argmax(vals))
-    xg, vg = _golden_max(f, xs[k] - step, xs[k] + step, xtol)
-    if vals[k] >= vg:
-        return float(xs[k]), float(vals[k])
-    return float(xg), float(vg)
+def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult:
+    """The x-z settings maximizing S at `state`, from the angle form of the
+    2x2 SVD of T (see the module docstring).
 
-
-def _coordinate_ascent(f, start, xtol: float, vtol: float, max_cycles: int):
-    """Cycle golden-section line maximizations over every coordinate in order."""
-    x = np.array(start, dtype=float)
-    best = f(x)
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
-        before = best
-        for i in range(len(x)):
-            xi = x.copy()
-
-            def g(t, _xi=xi, _i=i):
-                _xi[_i] = t
-                return f(_xi)
-
-            t, v = _line_max(g, x[i], xtol)
-            if v > best:
-                best = v
-                x[i] = t
-        if best - before < vtol:
-            return x, best, True, cycles
-    return x, best, False, cycles
-
-
-def _planar_coefficients(angles) -> np.ndarray:
-    """M = (1/2)[a1 (b1 + b2)^T + a2 (b1 - b2)^T] on x-z Bloch components."""
-    return chsh_coefficients(np.stack((np.sin(angles), np.cos(angles)), axis=1))
-
-
-def _better(s: float, tup, best_s: float | None, best_tup) -> bool:
-    if best_s is None or s > best_s:
-        return True
-    return s == best_s and tup < best_tup
-
-
-def optimize_settings(
-    state: DensityMatrix, restarts: int = 8, tol: float = 1e-10
-) -> OptimizeResult:
-    """Coordinate-ascent search for the settings maximizing S at `state`.
-
-    Runs `restarts` independent ascents from seed-derived starting angles
-    and keeps the best final value; exact ties break toward the
-    lexicographically smallest normalized angle tuple.
+    `restarts` does not affect the result.  It is still checked (>= 1)
+    because the benchmark's workloads pass it; it can go when they stop.
     """
     if restarts < 1:
         raise ValueError("restarts >= 1 required")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    t_xz = pauli_correlations(state)[np.ix_(_XZ, _XZ)]  # checks dim 4
-
-    def objective(angles):
-        return 2.0 * float(np.vdot(_planar_coefficients(angles), t_xz))
-
-    best_s: float | None = None
-    best_tup = None
-    all_converged = True
-    worst_cycles = 0
-    for k in range(restarts):
-        start = _TWO_PI * rng.uniforms(rng.child_seed(_OPTIMIZER_SEED, k), 4)
-        x, s, ok, cycles = _coordinate_ascent(
-            objective, start, xtol=1e-8, vtol=tol, max_cycles=_MAX_CYCLES
-        )
-        all_converged = all_converged and ok
-        worst_cycles = max(worst_cycles, cycles)
-        tup = PlanarSettings(*x).as_tuple()
-        if _better(s, tup, best_s, best_tup):
-            best_s, best_tup = s, tup
-    ps = PlanarSettings(*best_tup)
+    (t11, t12), (t21, t22) = _xz_block(state)
+    s_sum, s_diff = math.hypot(t22 + t11, t12 - t21), math.hypot(t22 - t11, t12 + t21)
+    a_minus_g = math.atan2(t12 - t21, t22 + t11)
+    a_plus_g = math.atan2(t12 + t21, t22 - t11)
+    alpha, gamma = 0.5 * (a_plus_g + a_minus_g), 0.5 * (a_plus_g - a_minus_g)
+    s1, s2 = 0.5 * (s_sum + s_diff), 0.5 * (s_sum - s_diff)
+    theta = math.atan2(abs(s2), s1)
+    quarter = 0.5 * math.pi if s2 >= 0.0 else -0.5 * math.pi
+    ps = PlanarSettings(alpha, alpha + quarter, gamma + theta, gamma - theta)
     return OptimizeResult(
         settings=ps,
         s_value=s_value(settings_to_scenario(ps, state)),
-        converged=all_converged,
-        cycles=worst_cycles,
+        converged=True,
+        cycles=0,
     )
+
+
+def _row_settings(phi: float, t: list[list[float]]) -> PlanarSettings:
+    """a1 = 0, a2 = phi, beta1 - beta2 = +-pi/2 and the common B rotation g
+    maximizing S at T.
+
+    With beta1,2 = g +- sign pi/4, S / sqrt 2 = A cos g + B sin g for
+    u = T^T e(0), v = T^T e(phi), A = u_z + sign v_x and B = u_x - sign v_z.
+    """
+    (t11, t12), (t21, t22) = t
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    ux, uz = t21, t22
+    vx, vz = sin_phi * t11 + cos_phi * t21, sin_phi * t12 + cos_phi * t22
+    # max keeps the first of equal hypots, so ties go to +pi/2
+    sign, a, b = max(((s, uz + s * vx, ux - s * vz) for s in (1.0, -1.0)),
+                     key=lambda c: math.hypot(c[1], c[2]))
+    g = math.atan2(b, a)
+    return PlanarSettings(0.0, phi, g + sign * 0.25 * math.pi, g - sign * 0.25 * math.pi)
 
 
 def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
@@ -214,45 +160,27 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
 
     phi sweeps [0, pi/2] in `phi_steps` points with a1 = sz fixed and
     a2 = cos(phi) sz + sin(phi) sx, so the A-side commutator norm is
-    2 sin(phi).  Per row the B-side angles are optimized to maximize the
-    state-independent ceiling 2||C||; the row records both local commutator
-    norms, that ceiling, and S at the supplied state.
+    2 sin(phi).  Each row's B angles reach the state-independent ceiling
+    2||C|| = 2 sqrt(1 + sin phi) and, among those, maximize S at the
+    supplied state; the row records both local commutator norms and that
+    ceiling, from one `chsh._scenario_pass`, and S at the state.
     """
     if phi_steps < 2:
         raise ValueError("phi_steps >= 2 required")
-    if state.dim != 4:
-        raise ValueError("incompatibility_sweep needs a two-party state (dim 4)")
+    t = _xz_block(state)
     rows: list[SweepRow] = []
-    for row_idx, phi in enumerate(np.linspace(0.0, np.pi / 2.0, phi_steps)):
-        def objective(angles, _phi=phi):
-            m = _planar_coefficients((0.0, _phi, angles[0], angles[1]))
-            w = np.linalg.eigvalsh((m.ravel() @ _BASIS_XZ).reshape(4, 4))
-            return 2.0 * float(max(-w[0], w[-1]))  # eigvalsh sorts ascending
-
-        starts = [
-            (phi / 2.0 + np.pi / 4.0, phi / 2.0 - np.pi / 4.0),
-            (phi / 2.0 - np.pi / 4.0, phi / 2.0 + np.pi / 4.0),
-            tuple(_TWO_PI * rng.uniforms(rng.child_seed(_SWEEP_SEED, row_idx), 2)),
-        ]
-        best_v: float | None = None
-        best_beta = None
-        for start in starts:
-            x, v, _, _ = _coordinate_ascent(
-                objective, start, xtol=1e-6, vtol=1e-12, max_cycles=60
-            )
-            tup = (float(x[0]) % _TWO_PI, float(x[1]) % _TWO_PI)
-            if _better(v, tup, best_v, best_beta):
-                best_v, best_beta = v, tup
-        ps = PlanarSettings(0.0, phi, best_beta[0], best_beta[1])
+    for phi in np.linspace(0.0, np.pi / 2.0, phi_steps).tolist():
+        ps = _row_settings(phi, t)
         sc = settings_to_scenario(ps, state)
-        comm_a, comm_b = commutator_norms(sc)
+        p = _scenario_pass(sc)
+        comm_a, comm_b = p.commutator_norms[0].tolist()
         rows.append(
             SweepRow(
-                phi=float(phi),
+                phi=phi,
                 settings=ps,
                 comm_a_norm=comm_a,
                 comm_b_norm=comm_b,
-                max_s=max_s_over_states(sc),
+                max_s=2.0 * operator_norm(p.operator[0]),
                 s_singlet=s_value(sc),
             )
         )

@@ -95,3 +95,16 @@ def kron_chsh_operator(a1, a2, b1, b2):
     Kronecker products of the 2x2 setting matrices."""
     a1, a2, b1, b2 = (np.asarray(m) for m in (a1, a2, b1, b2))
     return 0.5 * (np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
+
+
+def kron_max_s_over_settings(rho):
+    """Independent oracle for max |S| over all settings: 2 sqrt(m1 + m2) over the
+    two largest eigenvalues of T^T T, with T_kl = tr(rho sigma_k ⊗ sigma_l) built
+    by explicit Kronecker products (Horodecki, Horodecki & Horodecki, Phys. Lett.
+    A 200, 340 (1995))."""
+    from chshlab.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    t = np.array([[kron_trace(rho, p, q) for q in paulis] for p in paulis])
+    m = np.linalg.eigvalsh(t.T @ t)  # ascending
+    return 2.0 * np.sqrt(max(0.0, m[-1] + m[-2]))

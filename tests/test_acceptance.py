@@ -97,7 +97,7 @@ def test_local_compatibility_theorem():
 
 def test_tsirelson_reproduction():
     """Optimizer and spectral analysis both land on 2*sqrt(2)."""
-    opt = optimize_settings(bell_state("psi_minus"), restarts=8, tol=1e-10)
+    opt = optimize_settings(bell_state("psi_minus"), restarts=8)
     assert abs(opt.s_value - TSIRELSON) < 1e-6
     report = analyze(optimal_scenario(state=bell_state("psi_minus")))
     assert abs(report.chsh_operator_norm - np.sqrt(2.0)) < 1e-10

@@ -15,9 +15,11 @@ from chshlab import (
     chsh_operator,
     commutator_norms,
     extremal_eigenstate,
+    max_s_over_settings,
     max_s_over_states,
     maximally_mixed,
     observable_from_bloch,
+    optimize_settings,
     s_value,
     square_identity_residual,
     verify_identity_sign,
@@ -27,7 +29,8 @@ from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_
 from chshlab.linalg import frobenius
 from chshlab.quantum import SIGMA_X, SIGMA_Z, pauli_vector
 
-from helpers import kron_chsh_operator, random_observable, random_qubit_density
+from helpers import (kron_chsh_operator, kron_max_s_over_settings, random_density,
+                     random_observable, random_pure_density, random_qubit_density)
 from helpers import random_scenario as np_random_scenario
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -252,6 +255,40 @@ class TestMaxSOverStates:
         rng = np.random.default_rng(58)
         for _ in range(500):
             assert max_s_over_states(np_random_scenario(rng)) <= TSIRELSON + 1e-9
+
+
+class TestMaxSOverSettings:
+    def test_matches_kron_oracle(self):
+        rng = np.random.default_rng(59)
+        states = [random_density(rng) for _ in range(20)]
+        states += [DensityMatrix(random_pure_density(rng, 4)) for _ in range(20)]
+        for rho in states:
+            assert max_s_over_settings(rho) == pytest.approx(
+                kron_max_s_over_settings(rho.matrix), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["phi_plus", "phi_minus", "psi_plus", "psi_minus"])
+    def test_tsirelson_on_bell_states(self, name):
+        assert abs(max_s_over_settings(bell_state(name)) - TSIRELSON) < 1e-12
+
+    def test_maximally_mixed_gives_zero(self):
+        assert max_s_over_settings(maximally_mixed(4)) == 0.0
+
+    def test_bounds_the_planar_optimum(self):
+        rng = np.random.default_rng(60)
+        for _ in range(50):
+            rho = random_density(rng)
+            assert max_s_over_settings(rho) >= optimize_settings(rho).s_value - 1e-12
+
+    def test_exceeds_the_planar_optimum_on_a_random_state(self):
+        # out-of-plane correlations: this state violates |S| <= 2 only with
+        # settings outside the x-z plane
+        rho = random_density(np.random.default_rng(4))
+        assert max_s_over_settings(rho) > 2.0 + 1e-3
+        assert optimize_settings(rho).s_value < 2.0 - 0.4
+
+    def test_state_dim_checked(self):
+        with pytest.raises(ValueError, match="dim 4"):
+            max_s_over_settings(DensityMatrix(np.eye(2, dtype=complex) / 2.0))
 
 
 class TestAnalyze:

@@ -10,6 +10,7 @@ from chshlab import (
     max_s_over_states,
     maximally_mixed,
     optimize_settings,
+    s_value,
     settings_to_scenario,
 )
 from chshlab.linalg import frobenius, operator_norm
@@ -116,8 +117,6 @@ class TestIncompatibilitySweep:
         assert sweep.best.max_s == max(row.max_s for row in sweep.rows)
 
     def test_s_singlet_column_is_consistent(self, sweep):
-        from chshlab import s_value
-
         for row in sweep.rows[::6]:
             sc = settings_to_scenario(row.settings, bell_state("psi_minus"))
             assert row.s_singlet == pytest.approx(s_value(sc), abs=0)
@@ -135,20 +134,20 @@ class TestIncompatibilitySweep:
         assert [r.settings.as_tuple() for r in s1.rows] == [r.settings.as_tuple() for r in s2.rows]
 
     def test_golden_rows(self):
-        # a row's max_s depends on beta1 - beta2 only, so its maximizers form
-        # a continuous family: settings and s_singlet pin the representative
-        # this objective's rounding selects, not a unique optimum
+        # canonical rows: beta1 - beta2 = pi/2 reaches the ceiling, and the
+        # common B rotation maximizing S at the singlet gives
+        # beta1 = pi + phi/2, beta2 = pi/2 + phi/2
         want = [
-            ((0.0, 0.0, 3.8440294077111115, 5.2098597120396555),
-             1.5265402360119655, 1.9999999999999996),
-            ((0.0, 0.39269908169872414, 0.9817477042468103, 5.6941366846315),
-             -1.6629392246050898, 2.351751204838718),
-            ((0.0, 0.7853981633974483, 1.1780972450961724, 2.748893571891069),
-             -0.7653668647301793, 2.613125929752754),
-            ((0.0, 1.1780972450961724, 1.002849319115727, 5.715238249519459),
-             -2.539945193694965, 2.774079690644295),
-            ((0.0, 1.5707963267948966, 0.03344368661904973, 1.6042400234556693),
-             9.70033808833648e-09, 2.8284271247461916),
+            ((0.0, 0.0, 3.141592653589793, 1.5707963267948966),
+             1.9999999999999996, 2.0),
+            ((0.0, 0.39269908169872414, 3.3379421944391554, 1.7671458676442588),
+             2.351751204838717, 2.3517512048387172),
+            ((0.0, 0.7853981633974483, 3.5342917352885173, 1.9634954084936207),
+             2.6131259297527523, 2.613125929752753),
+            ((0.0, 1.1780972450961724, 3.7306412761378795, 2.159844949342983),
+             2.7740796906442946, 2.774079690644295),
+            ((0.0, 1.5707963267948966, 3.9269908169872414, 2.356194490192345),
+             2.82842712474619, 2.8284271247461903),
         ]
         rows = incompatibility_sweep(5, bell_state("psi_minus")).rows
         assert len(rows) == len(want)
@@ -157,6 +156,26 @@ class TestIncompatibilitySweep:
             assert row.s_singlet == pytest.approx(s_singlet, abs=1e-12)
             assert row.max_s == pytest.approx(max_s, abs=1e-12)
 
+    def test_singlet_rows_reach_the_landau_ceiling(self, sweep):
+        # 2 (cos phi/2 + sin phi/2) = 2 sqrt(1 + sin phi): the row's S at the
+        # singlet is its ceiling (Landau, Phys. Lett. A 120, 54 (1987))
+        for row in sweep.rows:
+            assert abs(row.s_singlet - row.max_s) <= 1e-12
+            assert abs(row.max_s - 2.0 * np.sqrt(1.0 + np.sin(row.phi))) <= 1e-12
+
+    def test_rows_maximize_s_at_a_general_state(self):
+        # among settings on the ceiling (beta1 - beta2 = +-pi/2), no common B
+        # rotation beats the row's S at the state
+        rho = random_density(np.random.default_rng(95))
+        grid = np.linspace(0.0, 2.0 * np.pi, 721)
+        for row in incompatibility_sweep(7, rho).rows:
+            best = max(
+                s_value(settings_to_scenario(PlanarSettings(0.0, row.phi, g + d, g), rho))
+                for g in grid for d in (np.pi / 2.0, -np.pi / 2.0)
+            )
+            assert best <= row.s_singlet + 1e-12
+            assert best >= row.s_singlet - 1e-4
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="phi_steps"):
             incompatibility_sweep(1, bell_state("psi_minus"))
@@ -164,7 +183,7 @@ class TestIncompatibilitySweep:
 
 class TestOptimizeSettings:
     def test_singlet_reaches_tsirelson(self):
-        res = optimize_settings(bell_state("psi_minus"), restarts=8, tol=1e-10)
+        res = optimize_settings(bell_state("psi_minus"), restarts=8)
         assert res.converged
         assert abs(res.s_value - TSIRELSON) < 1e-6
 
@@ -173,33 +192,45 @@ class TestOptimizeSettings:
         states = [DensityMatrix(random_pure_density(rng, 4)) for _ in range(10)]
         states += [random_density(rng) for _ in range(10)]
         for rho in states:
-            res = optimize_settings(rho, restarts=8, tol=1e-10)
+            res = optimize_settings(rho, restarts=8)
             assert res.s_value == pytest.approx(horodecki_planar(rho.matrix), abs=1e-9)
 
     def test_product_state_stays_classical(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex))
-        res = optimize_settings(rho, restarts=4, tol=1e-10)
+        res = optimize_settings(rho, restarts=4)
         assert res.s_value <= 2.0 + 1e-6
 
     def test_maximally_mixed_is_flat_zero(self):
-        res = optimize_settings(maximally_mixed(4), restarts=2, tol=1e-10)
+        res = optimize_settings(maximally_mixed(4), restarts=2)
         assert abs(res.s_value) < 1e-9
 
     def test_never_exceeds_ceiling_of_returned_settings(self):
-        res = optimize_settings(bell_state("phi_plus"), restarts=4, tol=1e-10)
+        res = optimize_settings(bell_state("phi_plus"), restarts=4)
         sc = settings_to_scenario(res.settings)
         assert res.s_value <= 2.0 * operator_norm(chsh_operator(sc)) + 1e-9
 
     def test_deterministic(self):
-        r1 = optimize_settings(bell_state("psi_minus"), restarts=3, tol=1e-8)
-        r2 = optimize_settings(bell_state("psi_minus"), restarts=3, tol=1e-8)
+        r1 = optimize_settings(bell_state("psi_minus"), restarts=3)
+        r2 = optimize_settings(bell_state("psi_minus"), restarts=3)
         assert r1.s_value == r2.s_value
         assert r1.settings.as_tuple() == r2.settings.as_tuple()
+
+    def test_singlet_settings_pinned(self):
+        # canonical representative of the degenerate singlet spectrum
+        # (s1 = s2 = 1): atan2(0, 0) = 0 fixes alpha + gamma
+        res = optimize_settings(bell_state("psi_minus"))
+        want = (np.pi / 2.0, np.pi, 7.0 * np.pi / 4.0, 5.0 * np.pi / 4.0)
+        assert res.settings.as_tuple() == pytest.approx(want, abs=1e-15)
+
+    def test_restarts_do_not_change_the_result(self):
+        rho = random_density(np.random.default_rng(91))
+        r1, r8 = optimize_settings(rho, restarts=1), optimize_settings(rho, restarts=8)
+        assert r1.settings.as_tuple() == r8.settings.as_tuple()
+        assert r1.s_value == r8.s_value
+        assert (r1.converged, r1.cycles) == (r8.converged, r8.cycles) == (True, 0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="restarts"):
             optimize_settings(bell_state("psi_minus"), restarts=0)
-        with pytest.raises(ValueError, match="tol"):
-            optimize_settings(bell_state("psi_minus"), tol=0.0)
         with pytest.raises(ValueError, match="dim 4"):
             optimize_settings(DensityMatrix(np.eye(2, dtype=complex) / 2.0))
