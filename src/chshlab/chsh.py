@@ -18,15 +18,19 @@ mechanical: if either local commutator vanishes, C^2 = I, hence no state
 violates |S| <= 2 - and both commutators live on a single party's side.
 
 Every operator-level number comes from one stacked kernel over N scenarios
-(`_chsh_pass`).  C is built in Pauli coordinates, C = sum M_mu,nu
-sigma_mu x sigma_nu with M = `chsh_coefficients` of the settings' Pauli
-vectors, against the constant `quantum.PAULI_PRODUCTS`; the local commutators
-are batched 2x2 products; one pass returns C, both commutator norms and the
-identity residuals of both signs.  `analyze`, `chsh_operator`,
-`commutator_norms`, `square_identity_residual` and each `sweep` row run it
-with N = 1;
-`verify_identity_sign` runs it on blocks of _BLOCK random trials, drawn for a
-whole block at once from the child streams of its seed.
+(`_chsh_pass`), whose only input is the settings' real Pauli 4-vectors.  C is
+built in Pauli coordinates, C = sum M_mu,nu sigma_mu x sigma_nu with M =
+`chsh_coefficients`, against the constant `quantum.PAULI_PRODUCTS`.  The
+local commutators are cross products: [x, y] = 2i cross(x', y') . sigma for
+the Bloch parts x', y', so ||[a1, a2]|| = 2|u| for u = cross(a1', a2') (and v
+likewise for B), and the commutator term (1/4)[a1, a2] x [b1, b2] has the Pauli
+coefficients -(0, u)(0, v)^T, contracted against the same basis as M.  The
+sign of that term is still established numerically, by squaring C.  One
+pass returns C, M, both commutator norms and the identity residuals of both
+signs.  `analyze`, `chsh_operator`, `commutator_norms` and
+`square_identity_residual` run it with N = 1, `sweep.incompatibility_sweep`
+once over all its rows, and `verify_identity_sign` on blocks of _BLOCK random
+trials, drawn for a whole block at once from the child streams of its seed.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 _PRODUCTS = PAULI_PRODUCTS.reshape(16, 16)  # row 4 mu + nu: sigma_mu x sigma_nu, flattened
 _SIGNS = (1, -1)  # column order of the identity residuals
+# on Pauli 4-vectors, x[_NEXT] * y[_PREV] - x[_PREV] * y[_NEXT] = (0, cross(x', y'))
+_NEXT, _PREV = [0, 2, 3, 1], [0, 3, 1, 2]
 # trials per array pass of verify_identity_sign; bounds its memory at any trial count
 _BLOCK = 1024
 
@@ -94,34 +100,34 @@ class _Pass(NamedTuple):
     """One stacked evaluation of N scenarios."""
 
     operator: np.ndarray  # (N, 4, 4) C
+    coefficients: np.ndarray  # (N, 4, 4) M, with S = 2 <M, R>
     commutator_norms: np.ndarray  # (N, 2) spectral norms of [a1, a2] and [b1, b2]
     residuals: np.ndarray  # (N, 2) identity residuals, signs in _SIGNS order
 
 
-def _chsh_pass(vectors: np.ndarray, settings: np.ndarray) -> _Pass:
-    """C, both local commutator norms and both identity residuals of N scenarios.
+def _chsh_pass(vectors: np.ndarray) -> _Pass:
+    """C, M, both local commutator norms and both identity residuals of N
+    scenarios, from the (N, 4, 4) Pauli vectors of a1, a2, b1, b2.
 
-    `vectors` (N, 4, 4) are the Pauli vectors of a1, a2, b1, b2 and
-    `settings` (N, 4, 2, 2) their matrices.  C = sum M_mu,nu sigma_mu x sigma_nu
-    over the stacked `chsh_coefficients`; the commutators are batched 2x2
-    products.  i[x, y] is traceless Hermitian, so its spectral norm is its
-    Frobenius norm over sqrt 2.
+    The cross products w = (0, u), (0, v) of (a1, a2) and (b1, b2) give the
+    norms 2|u|, 2|v| and the commutator term's coefficients -w_A w_B^T, which
+    go through the Pauli-product basis in one matmul with M.
     """
     n = len(vectors)
-    c = (chsh_coefficients(vectors).reshape(n, 16) @ _PRODUCTS).reshape(n, 4, 4)
-    firsts, seconds = settings[:, 0::2], settings[:, 1::2]  # (a1, b1), (a2, b2)
-    comm = firsts @ seconds - seconds @ firsts
-    term = 0.25 * np.einsum("nij,nkl->nikjl", comm[:, 0], comm[:, 1]).reshape(n, 1, 4, 4)
+    m = chsh_coefficients(vectors)
+    x, y = vectors[..., _NEXT], vectors[..., _PREV]
+    w = x[:, 0::2] * y[:, 1::2] - y[:, 0::2] * x[:, 1::2]  # (a1, b1) cross (a2, b2)
+    coefficients = np.concatenate((m[:, None], -w[:, :1, :, None] * w[:, 1:, None, :]), axis=1)
+    ops = (coefficients.reshape(2 * n, 16) @ _PRODUCTS).reshape(n, 2, 4, 4)
+    c, term = ops[:, 0], ops[:, 1:]  # term (N, 1, 4, 4) broadcasts over _SIGNS
     target = np.eye(4) + np.array(_SIGNS)[:, None, None] * term
     residuals = np.linalg.norm((c @ c)[:, None] - target, axis=(-2, -1))
-    return _Pass(c, np.linalg.norm(comm, axis=(-2, -1)) / np.sqrt(2.0), residuals)
+    return _Pass(c, m, 2.0 * np.linalg.norm(w, axis=-1), residuals)
 
 
 def _scenario_pass(sc: Scenario) -> _Pass:
     """The N = 1 pass over one scenario's settings."""
-    obs = sc.observables()
-    return _chsh_pass(np.array([[pauli_vector(o) for o in obs]]),
-                      np.array([[o.matrix for o in obs]]))
+    return _chsh_pass(np.array([[pauli_vector(o) for o in sc.observables()]]))
 
 
 def chsh_operator(sc: Scenario) -> np.ndarray:
@@ -160,8 +166,12 @@ def s_value(sc: Scenario) -> float:
     """S = E11 + E12 + E21 - E22 = 2 <M, R> at the scenario's state."""
     if sc.state is None:
         raise ValueError("scenario has no state; s_value needs one")
-    m = chsh_coefficients([pauli_vector(obs) for obs in sc.observables()])
-    return 2.0 * float(np.vdot(m, pauli_correlations(sc.state)))
+    return _s_at(chsh_coefficients([pauli_vector(obs) for obs in sc.observables()]), sc.state)
+
+
+def _s_at(m: np.ndarray, state: DensityMatrix) -> float:
+    """S = 2 <M, R> for coefficients M at `state`."""
+    return 2.0 * float(np.vdot(m, pauli_correlations(state)))
 
 
 def max_s_over_states(sc: Scenario) -> float:
@@ -216,7 +226,7 @@ def analyze(sc: Scenario) -> Report:
     comm_a, comm_b = p.commutator_norms[0].tolist()
     max_s = 2.0 * nrm
     return Report(
-        s_value=s_value(sc) if sc.state is not None else None,
+        s_value=None if sc.state is None else _s_at(p.coefficients[0], sc.state),
         max_s_over_states=max_s,
         chsh_operator_norm=nrm,
         comm_a_norm=comm_a,
@@ -293,7 +303,7 @@ def verify_identity_sign(trials: int = 1000, seed: int = 20260808) -> SignCheck:
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
         vectors = _sphere(rng.child_uniforms(seed, count, 8, start))
-        worst = np.maximum(worst, _chsh_pass(*bloch_settings(vectors)).residuals.max(axis=0))
+        worst = np.maximum(worst, _chsh_pass(bloch_settings(vectors)).residuals.max(axis=0))
     return SignCheck(
         trials=trials,
         max_residual_plus=float(worst[0]),

@@ -178,17 +178,6 @@ def run_result_from_dict(d) -> RunResult:
         raise FormatError(f"malformed run result: {exc}") from None
 
 
-def _row_to_dict(row: SweepRow) -> dict:
-    return {
-        "phi": row.phi,
-        "settings": asdict(row.settings),
-        "comm_a_norm": row.comm_a_norm,
-        "comm_b_norm": row.comm_b_norm,
-        "max_s": row.max_s,
-        "s_singlet": row.s_singlet,
-    }
-
-
 def _row_from_dict(d) -> SweepRow:
     s = d["settings"]
     return SweepRow(
@@ -206,8 +195,8 @@ def _row_from_dict(d) -> SweepRow:
 def sweep_result_to_dict(r: SweepResult) -> dict:
     return {
         "phi_steps": r.phi_steps,
-        "rows": [_row_to_dict(row) for row in r.rows],
-        "best": _row_to_dict(r.best),
+        "rows": [asdict(row) for row in r.rows],
+        "best": asdict(r.best),
     }
 
 

@@ -76,25 +76,18 @@ def observable_from_bloch(n, label: str = "") -> Observable:
     return Observable(x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z, label=label)
 
 
-def bloch_settings(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked `observable_from_bloch` for Bloch vectors of shape (..., 3).
+def bloch_settings(vectors) -> np.ndarray:
+    """Stacked `observable_from_bloch` for Bloch vectors of shape (..., 3): the
+    Pauli vectors (0, n), shape (..., 4), after the same unit-length check.
 
-    Returns the Pauli vectors (0, n), shape (..., 4), and the matrices
-    n . sigma, shape (..., 2, 2), after the checks each `Observable` gets:
-    unit length, Hermitian and M^2 = I, against the same tolerances.  Unit
-    vectors bound every entry, so plain Frobenius norms cannot overflow here.
+    For real unit n, n . sigma is exactly Hermitian and squares to I up to
+    sqrt(2) ||n|^2 - 1| <= 1.5e-12 in Frobenius norm, far below
+    OBSERVABLE_TOL, so the other `Observable` checks cannot fail here.
     """
     n = np.asarray(vectors, dtype=np.float64)
     if not np.all(np.abs(np.sum(n * n, axis=-1) - 1.0) <= BLOCH_UNIT_TOL):  # NaN fails too
         raise ValueError("bloch vectors must have unit length")
-    m = (n @ PAULIS[1:].reshape(3, 4)).reshape(n.shape[:-1] + (2, 2))
-    fro = np.linalg.norm(m, axis=(-2, -1))
-    skew = np.linalg.norm(m - m.conj().swapaxes(-2, -1), axis=(-2, -1))
-    if not np.all(skew <= linalg.HERMITIAN_RTOL * np.maximum(1.0, fro)):
-        raise ValueError("observable matrix is not Hermitian")
-    if not np.all(np.linalg.norm(m @ m - IDENTITY_2, axis=(-2, -1)) <= OBSERVABLE_TOL):
-        raise ValueError("observable matrix does not square to the identity")
-    return np.concatenate((np.zeros(n.shape[:-1] + (1,)), n), axis=-1), m
+    return np.concatenate((np.zeros(n.shape[:-1] + (1,)), n), axis=-1)
 
 
 def pauli_vector(obs: Observable) -> np.ndarray:

@@ -62,8 +62,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair >= 1 required")
-        if not (0 <= self.seed <= rng.MASK64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        rng._check_seed(self.seed)
 
 
 @dataclass

@@ -26,7 +26,9 @@ R = `quantum.pauli_correlations`, where S = a1^T T (b1 + b2) + a2^T T (b1 - b2):
 Maximizers form continuous families, most visibly on degenerate spectra (the
 singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
 pick one canonical representative that does not depend on any LAPACK build.
-Reported values are recomputed through the validated `chsh` path.
+Each sweep row's reported values come from one stacked pass behind
+`bloch_settings`' unit check; `optimize_settings` recomputes its S through
+`settings_to_scenario` and `chsh.s_value`.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import Scenario, _scenario_pass, s_value
+from .chsh import Scenario, _chsh_pass, s_value
 from .linalg import operator_norm
-from .quantum import DensityMatrix, observable_from_bloch, pauli_correlations
+from .quantum import DensityMatrix, bloch_settings, observable_from_bloch, pauli_correlations
 
 _TWO_PI = 2.0 * np.pi
 _XZ = (1, 3)  # Pauli indices of the x-z plane
@@ -106,9 +108,9 @@ class OptimizeResult:
     cycles: int
 
 
-def _xz_block(state: DensityMatrix) -> list[list[float]]:
-    """[[T_xx, T_xz], [T_zx, T_zz]] of the state; checks dim 4."""
-    return pauli_correlations(state)[np.ix_(_XZ, _XZ)].tolist()
+def _xz_block(r: np.ndarray) -> list[list[float]]:
+    """[[T_xx, T_xz], [T_zx, T_zz]] of R = `pauli_correlations`."""
+    return r[np.ix_(_XZ, _XZ)].tolist()
 
 
 def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult:
@@ -120,7 +122,7 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     """
     if restarts < 1:
         raise ValueError("restarts >= 1 required")
-    (t11, t12), (t21, t22) = _xz_block(state)
+    (t11, t12), (t21, t22) = _xz_block(pauli_correlations(state))
     s_sum, s_diff = math.hypot(t22 + t11, t12 - t21), math.hypot(t22 - t11, t12 + t21)
     a_minus_g = math.atan2(t12 - t21, t22 + t11)
     a_plus_g = math.atan2(t12 + t21, t22 - t11)
@@ -162,27 +164,25 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     a2 = cos(phi) sz + sin(phi) sx, so the A-side commutator norm is
     2 sin(phi).  Each row's B angles reach the state-independent ceiling
     2||C|| = 2 sqrt(1 + sin phi) and, among those, maximize S at the
-    supplied state; the row records both local commutator norms and that
-    ceiling, from one `chsh._scenario_pass`, and S at the state.
+    supplied state.  One `chsh._chsh_pass` over every row's Pauli vectors gives
+    both local commutator norms, C for the ceiling 2||C|| and M for S = 2 <M, R>
+    at the state.
     """
     if phi_steps < 2:
         raise ValueError("phi_steps >= 2 required")
-    t = _xz_block(state)
-    rows: list[SweepRow] = []
-    for phi in np.linspace(0.0, np.pi / 2.0, phi_steps).tolist():
-        ps = _row_settings(phi, t)
-        sc = settings_to_scenario(ps, state)
-        p = _scenario_pass(sc)
-        comm_a, comm_b = p.commutator_norms[0].tolist()
-        rows.append(
-            SweepRow(
-                phi=phi,
-                settings=ps,
-                comm_a_norm=comm_a,
-                comm_b_norm=comm_b,
-                max_s=2.0 * operator_norm(p.operator[0]),
-                s_singlet=s_value(sc),
-            )
-        )
+    corr = pauli_correlations(state)
+    t = _xz_block(corr)
+    phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()
+    settings = [_row_settings(phi, t) for phi in phis]
+    angles = np.array([ps.as_tuple() for ps in settings])
+    bloch = np.stack((np.sin(angles), np.zeros_like(angles), np.cos(angles)), axis=-1)
+    p = _chsh_pass(bloch_settings(bloch))
+    # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does
+    s_values = 2.0 * (p.coefficients.reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
+    rows = [
+        SweepRow(phi, ps, comm_a, comm_b, 2.0 * operator_norm(c), s)
+        for phi, ps, (comm_a, comm_b), c, s in zip(
+            phis, settings, p.commutator_norms.tolist(), p.operator, s_values.ravel().tolist())
+    ]
     best = rows[int(np.argmax([r.max_s for r in rows]))]
     return SweepResult(rows=rows, best=best, phi_steps=phi_steps)

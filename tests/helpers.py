@@ -97,6 +97,13 @@ def kron_chsh_operator(a1, a2, b1, b2):
     return 0.5 * (np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
 
 
+def kron_identity_target(a1, a2, b1, b2, sign):
+    """Independent oracle I + sign (1/4)[a1, a2] ⊗ [b1, b2], the right side of the
+    C^2 identity, from 2x2 matrix products and an explicit Kronecker product."""
+    a1, a2, b1, b2 = (np.asarray(m) for m in (a1, a2, b1, b2))
+    return np.eye(4) + sign * 0.25 * np.kron(a1 @ a2 - a2 @ a1, b1 @ b2 - b2 @ b1)
+
+
 def kron_max_s_over_settings(rho):
     """Independent oracle for max |S| over all settings: 2 sqrt(m1 + m2) over the
     two largest eigenvalues of T^T T, with T_kl = tr(rho sigma_k ⊗ sigma_l) built

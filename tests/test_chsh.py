@@ -29,8 +29,9 @@ from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_
 from chshlab.linalg import frobenius
 from chshlab.quantum import SIGMA_X, SIGMA_Z, pauli_vector
 
-from helpers import (kron_chsh_operator, kron_max_s_over_settings, random_density,
-                     random_observable, random_pure_density, random_qubit_density)
+from helpers import (kron_chsh_operator, kron_identity_target, kron_max_s_over_settings,
+                     random_density, random_observable, random_pure_density,
+                     random_qubit_density)
 from helpers import random_scenario as np_random_scenario
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -81,12 +82,27 @@ class TestStackedPass:
         scenarios = [np_random_scenario(rng_np) for _ in range(300)]
         scenarios.append(Scenario(Observable(np.eye(2), "a1"), *scenarios[0].observables()[1:]))
         vectors = np.array([[pauli_vector(o) for o in sc.observables()] for sc in scenarios])
-        settings = np.array([[o.matrix for o in sc.observables()] for sc in scenarios])
-        got = chsh._chsh_pass(vectors, settings).operator
+        got = chsh._chsh_pass(vectors).operator
         for c, sc in zip(got, scenarios):
             want = kron_chsh_operator(*(o.matrix for o in sc.observables()))
             assert np.max(np.abs(c - want)) <= 1e-15
             assert np.max(np.abs(chsh_operator(sc) - want)) <= 1e-15
+
+    def test_identity_residuals_match_kron_oracle(self):
+        # the kernel takes the commutator term from cross products of Pauli
+        # vectors; the oracle squares 2x2 commutators and takes np.kron
+        rng_np = np.random.default_rng(68)
+        scenarios = [np_random_scenario(rng_np) for _ in range(300)]
+        a1, a2, b1, b2 = scenarios[0].observables()
+        eye, minus_eye = Observable(np.eye(2), "I"), Observable(-np.eye(2), "-I")
+        scenarios += [Scenario(eye, a2, b1, b2), Scenario(a1, minus_eye, b1, b2),
+                      Scenario(a1, a2, eye, minus_eye), Scenario(a1, a1, b1, b2)]
+        for sc in scenarios:
+            mats = [o.matrix for o in sc.observables()]
+            c = kron_chsh_operator(*mats)
+            for sign in (1, -1):
+                want = frobenius(c @ c - kron_identity_target(*mats, sign))
+                assert abs(square_identity_residual(sc, sign) - want) <= 1e-15 * max(1.0, want)
 
     def test_commutator_norms_match_spectral_oracle(self):
         rng_np = np.random.default_rng(67)

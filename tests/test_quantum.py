@@ -244,12 +244,10 @@ class TestPauliCoordinates:
     def test_stacked_bloch_settings_match_single_observables(self):
         rng = np.random.default_rng(53)
         vecs = np.array([[random_bloch(rng) for _ in range(4)] for _ in range(50)])
-        paulis, mats = bloch_settings(vecs)
-        assert paulis.shape == (50, 4, 4) and mats.shape == (50, 4, 2, 2)
-        for n, c, m in zip(vecs.reshape(-1, 3), paulis.reshape(-1, 4), mats.reshape(-1, 2, 2)):
-            obs = observable_from_bloch(n)
-            assert np.array_equal(m, obs.matrix)
-            assert np.array_equal(c, pauli_vector(obs))
+        paulis = bloch_settings(vecs)
+        assert paulis.shape == (50, 4, 4)
+        for n, c in zip(vecs.reshape(-1, 3), paulis.reshape(-1, 4)):
+            assert np.array_equal(c, pauli_vector(observable_from_bloch(n)))
 
     @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (0.6, 0.0, 0.9), (np.nan, 0.0, 1.0)])
     def test_stacked_bloch_settings_check_unit_length(self, bad):
