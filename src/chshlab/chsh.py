@@ -166,12 +166,13 @@ def s_value(sc: Scenario) -> float:
     """S = E11 + E12 + E21 - E22 = 2 <M, R> at the scenario's state."""
     if sc.state is None:
         raise ValueError("scenario has no state; s_value needs one")
-    return _s_at(chsh_coefficients([pauli_vector(obs) for obs in sc.observables()]), sc.state)
+    m = chsh_coefficients([pauli_vector(obs) for obs in sc.observables()])
+    return _s_at(m, pauli_correlations(sc.state))
 
 
-def _s_at(m: np.ndarray, state: DensityMatrix) -> float:
-    """S = 2 <M, R> for coefficients M at `state`."""
-    return 2.0 * float(np.vdot(m, pauli_correlations(state)))
+def _s_at(m: np.ndarray, r: np.ndarray) -> float:
+    """S = 2 <M, R> for coefficients M and a state's correlations R."""
+    return 2.0 * float(np.vdot(m, r))
 
 
 def max_s_over_states(sc: Scenario) -> float:
@@ -226,7 +227,8 @@ def analyze(sc: Scenario) -> Report:
     comm_a, comm_b = p.commutator_norms[0].tolist()
     max_s = 2.0 * nrm
     return Report(
-        s_value=None if sc.state is None else _s_at(p.coefficients[0], sc.state),
+        s_value=(None if sc.state is None
+                 else _s_at(p.coefficients[0], pauli_correlations(sc.state))),
         max_s_over_states=max_s,
         chsh_operator_norm=nrm,
         comm_a_norm=comm_a,

@@ -22,7 +22,10 @@ Child streams come from `child_seed`, which feeds the master seed and the
 stream index back through the same mixer: child_seed(s, k) is exactly output
 k+1 of the master stream, raw64(s, n)[k].  So `child_uniforms` draws many
 child streams in one array pass, the seeds from `raw64` and their counters
-through the same in-place mixer (`_mix`).
+through the same in-place mixer (`_mix`).  `_blocks` walks a long stream
+through one reused buffer, block by block, allocating nothing per block.
+The counter steps k * GOLDEN (`_steps`), the counter offset (`_offset`) and
+the mixer (`_mix`) each exist once and serve all three paths.
 """
 
 from __future__ import annotations
@@ -61,19 +64,35 @@ def _as_signed(k: int) -> np.int64:
     return np.int64(k - (1 << 64)) if k >= (1 << 63) else np.int64(k)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _steps(n: int) -> np.ndarray:
+    """k * GOLDEN mod 2**64 for k = 0 .. n-1, as int64."""
+    z = np.arange(n, dtype=np.int64)
+    z *= _as_signed(GOLDEN)
+    return z
+
+
+def _offset(seed: int, start: int) -> np.int64:
+    """Counter of output start+1 of stream `seed`, (seed + (start+1) GOLDEN) mod 2**64."""
+    return _as_signed((seed + (start + 1) * GOLDEN) & MASK64)
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 finalizer of every entry of the int64 array `z`, in place.
 
     Wrapping 64-bit multiplies run on `z` itself; the low 64 bits agree with
     unsigned arithmetic under two's complement, which sidesteps a slow
-    unsigned-multiply path in some numpy builds.  Returns the uint64 view.
+    unsigned-multiply path in some numpy builds.  The three xor-shifts go
+    through `scratch`, a uint64 array of `z`'s shape (a new one if None).
+    Returns the uint64 view.
     """
     u = z.view(np.uint64)
-    u ^= u >> np.uint64(30)
+    if scratch is None:
+        scratch = np.empty_like(u)
+    u ^= np.right_shift(u, np.uint64(30), out=scratch)
     z *= _as_signed(_MIX_A)
-    u ^= u >> np.uint64(27)
+    u ^= np.right_shift(u, np.uint64(27), out=scratch)
     z *= _as_signed(_MIX_B)
-    u ^= u >> np.uint64(31)
+    u ^= np.right_shift(u, np.uint64(31), out=scratch)
     return u
 
 
@@ -93,10 +112,25 @@ def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
         raise ValueError("n must be >= 0")
     if start < 0:
         raise ValueError("start must be >= 0")
-    z = np.arange(n, dtype=np.int64)
-    z *= _as_signed(GOLDEN)
-    z += _as_signed((seed + (start + 1) * GOLDEN) & MASK64)
+    z = _steps(n)
+    z += _offset(seed, start)
     return _mix(z)
+
+
+def _blocks(seed: int, n: int, size: int):
+    """Outputs 1 .. n of stream `seed` in consecutive blocks of `size`.
+
+    Concatenated, the blocks equal raw64(seed, n).  Every block is a view of
+    one buffer that the next block overwrites, so a caller consumes (or may
+    modify) each block before asking for the next.
+    """
+    _check_seed(seed)
+    steps = _steps(min(size, n))
+    buf, scratch = np.empty_like(steps), np.empty_like(steps, dtype=np.uint64)
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        z = np.add(steps[:m], _offset(seed, start), out=buf[:m])
+        yield _mix(z, scratch[:m])
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
@@ -112,6 +146,6 @@ def child_uniforms(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps = np.arange(1, n + 1, dtype=np.int64)
-    steps *= _as_signed(GOLDEN)
+    steps = _steps(n)
+    steps += _offset(0, 0)  # counters of outputs 1 .. n at seed 0
     return _unit(_mix(raw64(seed, count, start).view(np.int64)[:, None] + steps))

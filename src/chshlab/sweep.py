@@ -27,8 +27,9 @@ Maximizers form continuous families, most visibly on degenerate spectra (the
 singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
 pick one canonical representative that does not depend on any LAPACK build.
 Each sweep row's reported values come from one stacked pass behind
-`bloch_settings`' unit check; `optimize_settings` recomputes its S through
-`settings_to_scenario` and `chsh.s_value`.
+`bloch_settings`' unit check; `optimize_settings` takes its S as
+2 <M, R> from the maximizing settings' Pauli vectors and the R it already
+holds, without building a `Scenario`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import Scenario, _chsh_pass, s_value
+from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
 from .linalg import operator_norm
 from .quantum import DensityMatrix, bloch_settings, observable_from_bloch, pauli_correlations
 
@@ -108,6 +109,12 @@ class OptimizeResult:
     cycles: int
 
 
+def _planar_bloch(angles) -> np.ndarray:
+    """Bloch vectors (sin t, 0, cos t) of x-z angles t, stacked on a new last axis."""
+    t = np.asarray(angles)
+    return np.stack((np.sin(t), np.zeros_like(t), np.cos(t)), axis=-1)
+
+
 def _xz_block(r: np.ndarray) -> list[list[float]]:
     """[[T_xx, T_xz], [T_zx, T_zz]] of R = `pauli_correlations`."""
     return r[np.ix_(_XZ, _XZ)].tolist()
@@ -122,7 +129,8 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     """
     if restarts < 1:
         raise ValueError("restarts >= 1 required")
-    (t11, t12), (t21, t22) = _xz_block(pauli_correlations(state))
+    corr = pauli_correlations(state)
+    (t11, t12), (t21, t22) = _xz_block(corr)
     s_sum, s_diff = math.hypot(t22 + t11, t12 - t21), math.hypot(t22 - t11, t12 + t21)
     a_minus_g = math.atan2(t12 - t21, t22 + t11)
     a_plus_g = math.atan2(t12 + t21, t22 - t11)
@@ -133,7 +141,7 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     ps = PlanarSettings(alpha, alpha + quarter, gamma + theta, gamma - theta)
     return OptimizeResult(
         settings=ps,
-        s_value=s_value(settings_to_scenario(ps, state)),
+        s_value=_s_at(chsh_coefficients(bloch_settings(_planar_bloch(ps.as_tuple()))), corr),
         converged=True,
         cycles=0,
     )
@@ -174,9 +182,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     t = _xz_block(corr)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()
     settings = [_row_settings(phi, t) for phi in phis]
-    angles = np.array([ps.as_tuple() for ps in settings])
-    bloch = np.stack((np.sin(angles), np.zeros_like(angles), np.cos(angles)), axis=-1)
-    p = _chsh_pass(bloch_settings(bloch))
+    p = _chsh_pass(bloch_settings(_planar_bloch([ps.as_tuple() for ps in settings])))
     # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does
     s_values = 2.0 * (p.coefficients.reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
     rows = [

@@ -5,6 +5,7 @@ from chshlab import rng
 from chshlab.sampler import _CHUNK
 
 MASK = (1 << 64) - 1
+WINDOW = 1 << 16  # windows below, at and across multiples of this size
 
 
 def reference_stream(seed, n):
@@ -114,7 +115,7 @@ def test_empty_and_invalid_counts():
 
 @pytest.mark.parametrize(
     "start, n",
-    [(0, _CHUNK), (1, _CHUNK - 1), (_CHUNK - 1, 2), (_CHUNK, _CHUNK + 1), (2 * _CHUNK + 3, 5)],
+    [(0, WINDOW), (1, WINDOW - 1), (WINDOW - 1, 2), (WINDOW, WINDOW + 1), (2 * WINDOW + 3, 5)],
 )
 def test_counter_offset_is_a_window_of_the_stream(start, n):
     assert np.array_equal(rng.raw64(2718, n, start), rng.raw64(2718, start + n)[start:])
@@ -133,6 +134,28 @@ def test_seed_outside_64_bits_rejected(seed):
         rng.raw64(seed, 1)
     with pytest.raises(ValueError, match="unsigned 64-bit"):
         rng.uniforms(seed, 1)
+
+
+@pytest.mark.parametrize("seed", [0, MASK])
+@pytest.mark.parametrize("size", [1, 7, _CHUNK])
+@pytest.mark.parametrize("extra", ["1", "size-1", "size", "3size+5"])
+def test_blocks_concatenate_to_the_stream(seed, size, extra):
+    # the walker reuses one buffer, so each block is copied before the next
+    n = {"1": 1, "size-1": size - 1, "size": size, "3size+5": 3 * size + 5}[extra]
+    blocks = [b.copy() for b in rng._blocks(seed, n, size)]
+    assert [len(b) for b in blocks] == [min(size, n - k) for k in range(0, n, size)]
+    got = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint64)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, rng.raw64(seed, n))
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_blocks_reject_out_of_range_seed(seed):
+    with pytest.raises(ValueError, match="unsigned 64-bit") as walker:
+        next(rng._blocks(seed, 10, 4))
+    with pytest.raises(ValueError, match="unsigned 64-bit") as direct:
+        rng.raw64(seed, 10)
+    assert str(walker.value) == str(direct.value)
 
 
 def test_negative_start_rejected():

@@ -17,7 +17,7 @@ from chshlab import (
     sample_pair,
     s_value,
 )
-from chshlab import rng
+from chshlab import rng, sampler
 from chshlab.fileio import run_result_to_dict
 from chshlab.quantum import DensityMatrix
 from chshlab.sampler import _CHUNK
@@ -75,9 +75,11 @@ class TestSamplePair:
         got = np.array([c.pp, c.pm, c.mp, c.mm]) / 200000.0
         assert np.max(np.abs(got - want)) < 0.01
 
-    def test_matches_inverse_cdf_reference(self):
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, _CHUNK], ids=["1", "7", "4096", "default"])
+    def test_matches_inverse_cdf_reference(self, chunk, monkeypatch):
         # the threshold counts must equal the inverse-CDF lookup of each uniform,
-        # bit for bit, within one block and across block boundaries
+        # bit for bit, within one block and across block boundaries, whatever
+        # the block size
         def reference(rho, a, b, shots, seed):
             probs = np.maximum(joint_distribution(rho, a, b).as_array(), 0.0)
             cdf = np.cumsum(probs)
@@ -85,16 +87,21 @@ class TestSamplePair:
             cells = np.searchsorted(cdf, rng.uniforms(seed, shots), side="right")
             return PairCounts(*(int(n) for n in np.bincount(cells, minlength=4)))
 
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
         rng_np = np.random.default_rng(75)
         sz = observable_from_bloch((0, 0, 1))
-        for k, shots in enumerate((1, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7)):
+        phi = bell_state("phi_plus")  # two cells of exact probability zero
+        up_up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))  # every limit 2**53
+        shot_counts = sorted({1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 7} - {0})
+        for k, shots in enumerate(shot_counts):
             rho = random_density(rng_np)
             v = rng_np.normal(size=3)
             a = observable_from_bloch(v / np.linalg.norm(v))
             seed = rng.child_seed(76, k)
-            assert sample_pair(rho, a, sz, shots, seed) == reference(rho, a, sz, shots, seed)
-            phi = bell_state("phi_plus")  # two cells of exact probability zero
-            assert sample_pair(phi, sz, sz, shots, seed) == reference(phi, sz, sz, shots, seed)
+            for state, obs_a in ((rho, a), (phi, sz), (up_up, sz)):
+                want = reference(state, obs_a, sz, shots, seed)
+                assert sample_pair(state, obs_a, sz, shots, seed) == want
+            assert want == PairCounts(shots, 0, 0, 0)
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_rejects_out_of_range_seed(self, seed):
