@@ -43,7 +43,7 @@ import numpy as np
 from . import linalg, rng
 from .quantum import (PAULI_PRODUCTS, DensityMatrix, Observable, bloch_settings,
                       correlation_tensor, observable_from_bloch, pauli_correlations,
-                      pauli_vector, pure_state)
+                      pure_state)
 
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -127,7 +127,7 @@ def _chsh_pass(vectors: np.ndarray) -> _Pass:
 
 def _scenario_pass(sc: Scenario) -> _Pass:
     """The N = 1 pass over one scenario's settings."""
-    return _chsh_pass(np.array([[pauli_vector(o) for o in sc.observables()]]))
+    return _chsh_pass(np.array([[o.pauli for o in sc.observables()]]))
 
 
 def chsh_operator(sc: Scenario) -> np.ndarray:
@@ -166,7 +166,7 @@ def s_value(sc: Scenario) -> float:
     """S = E11 + E12 + E21 - E22 = 2 <M, R> at the scenario's state."""
     if sc.state is None:
         raise ValueError("scenario has no state; s_value needs one")
-    m = chsh_coefficients([pauli_vector(obs) for obs in sc.observables()])
+    m = chsh_coefficients([obs.pauli for obs in sc.observables()])
     return _s_at(m, pauli_correlations(sc.state))
 
 

@@ -3,10 +3,11 @@
 Scenario files are JSON with explicit field names: one object per setting
 (`{"bloch": [x, y, z]}` or `{"angle": t}`) plus an optional `state` that is
 either a named state, an explicit 4x4 density matrix as row-major
-`[re, im]` pairs, or null.  Report files wrap the typed payload together
-with the tool version and an echo of the inputs.  Floats serialize through
-`repr`, so every double round-trips exactly; the same holds for the CSV
-sweep table.
+`[re, im]` pairs, or null.  Every number in a scenario must be a JSON
+number; strings and booleans are format errors.  Report files are written,
+never read back here: they wrap the typed payload together with the tool
+version and an echo of the inputs.  Floats serialize through `repr`, so
+`json.loads` (or `csv` for the sweep table) recovers every double exactly.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .quantum import (
     maximally_mixed,
     observable_from_bloch,
 )
-from .sampler import PairCounts, RunResult, PAIR_LABELS
-from .sweep import PlanarSettings, SweepResult, SweepRow
+from .sampler import PAIR_LABELS, RunResult
+from .sweep import SweepResult
 
 STATE_NAMES = BELL_STATE_NAMES + ("maximally_mixed",)
 SWEEP_CSV_COLUMNS = ("phi", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet")
@@ -42,6 +43,17 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float.  Strings, booleans and integers beyond the
+    float range are FormatErrors, not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise FormatError(f"{where}: expected a number")
+
+
 def observable_from_spec(spec, name: str) -> Observable:
     _require(isinstance(spec, dict), f"{name}: expected an object")
     if "bloch" in spec:
@@ -50,19 +62,13 @@ def observable_from_spec(spec, name: str) -> Observable:
             isinstance(vec, (list, tuple)) and len(vec) == 3,
             f"{name}.bloch: expected three numbers",
         )
-        try:
-            n = [float(c) for c in vec]
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"{name}.bloch: expected three numbers") from None
+        n = [_number(c, f"{name}.bloch") for c in vec]
         try:
             return observable_from_bloch(n, label=name)
         except ValueError as exc:
             raise ValueError(f"{name}.bloch: {exc}") from None
     if "angle" in spec:
-        try:
-            t = float(spec["angle"])
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"{name}.angle: expected a number") from None
+        t = _number(spec["angle"], f"{name}.angle")
         if not np.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
         return observable_from_bloch((np.sin(t), 0.0, np.cos(t)), label=name)
@@ -91,10 +97,8 @@ def state_from_spec(spec) -> DensityMatrix | None:
                 isinstance(cell, (list, tuple)) and len(cell) == 2,
                 f"state.matrix[{i}][{j}]: expected an [re, im] pair",
             )
-            try:
-                entries[i, j] = complex(float(cell[0]), float(cell[1]))
-            except (TypeError, ValueError, OverflowError):
-                raise FormatError(f"state.matrix[{i}][{j}]: expected numbers") from None
+            where = f"state.matrix[{i}][{j}]"
+            entries[i, j] = complex(_number(cell[0], where), _number(cell[1], where))
     try:
         return DensityMatrix(entries)
     except ValueError as exc:
@@ -131,22 +135,6 @@ def report_to_dict(r: Report) -> dict:
     return asdict(r)
 
 
-def report_from_dict(d) -> Report:
-    try:
-        return Report(
-            s_value=None if d["s_value"] is None else float(d["s_value"]),
-            max_s_over_states=float(d["max_s_over_states"]),
-            chsh_operator_norm=float(d["chsh_operator_norm"]),
-            comm_a_norm=float(d["comm_a_norm"]),
-            comm_b_norm=float(d["comm_b_norm"]),
-            identity_residual=float(d["identity_residual"]),
-            identity_sign=int(d["identity_sign"]),
-            violates=bool(d["violates"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed analysis report: {exc}") from None
-
-
 def run_result_to_dict(r: RunResult) -> dict:
     return {
         "seed": r.seed,
@@ -160,55 +148,12 @@ def run_result_to_dict(r: RunResult) -> dict:
     }
 
 
-def run_result_from_dict(d) -> RunResult:
-    try:
-        counts = [
-            PairCounts(pp=int(c["pp"]), pm=int(c["pm"]), mp=int(c["mp"]), mm=int(c["mm"]))
-            for c in d["counts"]
-        ]
-        return RunResult(
-            counts=counts,
-            e_hat=[float(e) for e in d["e_hat"]],
-            s_hat=float(d["s_hat"]),
-            s_stderr=float(d["s_stderr"]),
-            seed=int(d["seed"]),
-            shots_per_pair=int(d["shots_per_pair"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed run result: {exc}") from None
-
-
-def _row_from_dict(d) -> SweepRow:
-    s = d["settings"]
-    return SweepRow(
-        phi=float(d["phi"]),
-        settings=PlanarSettings(
-            float(s["alpha1"]), float(s["alpha2"]), float(s["beta1"]), float(s["beta2"])
-        ),
-        comm_a_norm=float(d["comm_a_norm"]),
-        comm_b_norm=float(d["comm_b_norm"]),
-        max_s=float(d["max_s"]),
-        s_singlet=float(d["s_singlet"]),
-    )
-
-
 def sweep_result_to_dict(r: SweepResult) -> dict:
     return {
         "phi_steps": r.phi_steps,
         "rows": [asdict(row) for row in r.rows],
         "best": asdict(r.best),
     }
-
-
-def sweep_result_from_dict(d) -> SweepResult:
-    try:
-        return SweepResult(
-            rows=[_row_from_dict(row) for row in d["rows"]],
-            best=_row_from_dict(d["best"]),
-            phi_steps=int(d["phi_steps"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed sweep result: {exc}") from None
 
 
 def sweep_result_to_csv(r: SweepResult) -> str:
@@ -221,19 +166,6 @@ def sweep_result_to_csv(r: SweepResult) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def sweep_rows_from_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    _require(bool(lines), "empty CSV")
-    header = lines[0].split(",")
-    _require(tuple(header) == SWEEP_CSV_COLUMNS, f"unexpected CSV header: {lines[0]!r}")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        _require(len(cells) == len(header), f"malformed CSV row: {ln!r}")
-        out.append({k: float(v) for k, v in zip(header, cells)})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +183,3 @@ def make_document(command: str, input_echo: dict, payload_key: str, payload: dic
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def parse_document(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise FormatError(f"invalid JSON: {exc}") from None
-    _require(isinstance(doc, dict) and "command" in doc, "missing 'command' field")
-    return doc
-
-
-def result_from_document(doc: dict):
-    """Recover the typed payload of a report document."""
-    command = doc["command"]
-    if command == "analyze":
-        return report_from_dict(doc["report"])
-    if command == "simulate":
-        return run_result_from_dict(doc["result"])
-    if command == "sweep":
-        return sweep_result_from_dict(doc["result"])
-    raise FormatError(f"unknown report command {command!r}")

@@ -1,15 +1,16 @@
 """Qubit observables, states, and Born-rule statistics for two parties.
 
-Observables are Hermitian 2x2 matrices squaring to the identity (outcomes
-+1/-1), built from unit Bloch vectors as n_x*sx + n_y*sy + n_z*sz.  States
-are density matrices throughout; pure states enter as rank-1 projectors, so
-a single code path covers every quantum state.
+An observable with outcomes +1/-1 is held as its real Pauli 4-vector c,
+M = sum_mu c_mu sigma_mu with mu over I, x, y, z: +/-I (c = (+/-1, 0, 0, 0))
+or n . sigma for a unit Bloch vector n (c = (0, n)).  A real c always gives a
+Hermitian M, so the only check is M^2 = I, in closed form on c.  States are
+density matrices throughout; pure states enter as rank-1 projectors, so a
+single code path covers every quantum state.
 
 Every two-party statistic is one bilinear form in Pauli coordinates (Fano,
-Rev. Mod. Phys. 55, 855 (1983)), mu, nu over I, x, y, z: an observable
-M = sum_mu c_mu sigma_mu is its real 4-vector c (`pauli_vector`, identity
-component kept, so +/-I is valid input), a state its real 4x4
-R_mu,nu = tr(rho sigma_mu x sigma_nu) (`pauli_correlations`).  Then
+Rev. Mod. Phys. 55, 855 (1983)): an observable enters as its `pauli` vector
+c, a state as its real 4x4 R_mu,nu = tr(rho sigma_mu x sigma_nu)
+(`pauli_correlations`).  Then
 E(a, b) = a^T R b, p(alpha, beta) = (1/4)(e0 + alpha a)^T R (e0 + beta b),
 and the correlation tensor is R[1:, 1:].
 
@@ -19,6 +20,7 @@ left Kronecker factor, party B the right one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,59 +47,67 @@ _EIGENVALUE_FLOOR = -1e-10
 BELL_STATE_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Observable:
-    """A +1/-1 valued qubit observable: Hermitian with M^2 = I."""
+    """A +1/-1 valued qubit observable M = sum_mu c_mu sigma_mu, held as its real
+    Pauli 4-vector c (`pauli`, read-only).
 
-    matrix: np.ndarray
+    M^2 = (c0^2 + |c'|^2) I + 2 c0 c' . sigma, so for real c
+    ||M^2 - I||_F = sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2 |c0| |c'|), which must
+    not exceed OBSERVABLE_TOL: c is +/-e0 or (0, n) for a unit n, up to rounding.
+    """
+
+    pauli: np.ndarray
     label: str = ""
 
     def __post_init__(self):
         tag = f"observable {self.label!r}" if self.label else "observable"
-        m = linalg.as_matrix(self.matrix)
-        if m.shape[0] != 2:
-            raise ValueError(f"{tag}: expected a 2x2 matrix, got dim {m.shape[0]}")
-        if not linalg.is_hermitian(m):
-            raise ValueError(f"{tag}: matrix is not Hermitian")
-        if linalg.frobenius(m @ m - IDENTITY_2) > OBSERVABLE_TOL:
-            raise ValueError(f"{tag}: matrix does not square to the identity")
-        self.matrix = m
+        if np.iscomplexobj(self.pauli):
+            raise ValueError(f"{tag}: Pauli vector must be real")
+        c = np.array(self.pauli, dtype=np.float64)
+        if c.shape != (4,):
+            raise ValueError(f"{tag}: expected a Pauli 4-vector, got shape {c.shape}")
+        c0, *bloch = c.tolist()
+        r = math.hypot(*bloch)
+        residual = math.sqrt(2.0) * math.hypot(c0 * c0 + r * r - 1.0, 2.0 * abs(c0) * r)
+        if not residual <= OBSERVABLE_TOL:  # NaN fails too
+            raise ValueError(f"{tag}: Pauli vector {c.tolist()} does not square to the identity")
+        c.flags.writeable = False
+        object.__setattr__(self, "pauli", c)  # frozen, so no later rebinding skips the check
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """M = sum_mu c_mu sigma_mu, a fresh 2x2 complex array."""
+        return np.tensordot(self.pauli, PAULIS, axes=1)
 
 
 def observable_from_bloch(n, label: str = "") -> Observable:
-    """Observable n . sigma for a unit Bloch vector n = (x, y, z)."""
-    x, y, z = (float(c) for c in n)
-    norm2 = x * x + y * y + z * z
-    if not abs(norm2 - 1.0) <= BLOCH_UNIT_TOL:  # also catches NaN components
-        tag = f" {label!r}" if label else ""
-        raise ValueError(
-            f"bloch vector{tag} must have unit length, got |n|^2 = {norm2!r}"
-        )
-    return Observable(x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z, label=label)
+    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z)."""
+    return Observable(bloch_settings(n), label=label)
 
 
 def bloch_settings(vectors) -> np.ndarray:
-    """Stacked `observable_from_bloch` for Bloch vectors of shape (..., 3): the
-    Pauli vectors (0, n), shape (..., 4), after the same unit-length check.
+    """The Pauli vectors (0, n), shape (..., 4), of unit Bloch vectors n of shape
+    (..., 3): the stacked `observable_from_bloch`.
 
-    For real unit n, n . sigma is exactly Hermitian and squares to I up to
-    sqrt(2) ||n|^2 - 1| <= 1.5e-12 in Frobenius norm, far below
-    OBSERVABLE_TOL, so the other `Observable` checks cannot fail here.
+    Each n must satisfy abs(|n|^2 - 1) <= BLOCH_UNIT_TOL; the M^2 = I residual
+    of (0, n) is then sqrt(2) abs(|n|^2 - 1) <= 1.5e-12, far below
+    OBSERVABLE_TOL.
     """
     n = np.asarray(vectors, dtype=np.float64)
-    if not np.all(np.abs(np.sum(n * n, axis=-1) - 1.0) <= BLOCH_UNIT_TOL):  # NaN fails too
-        raise ValueError("bloch vectors must have unit length")
+    with np.errstate(over="ignore"):  # a component beyond 1e154 fails the check below
+        norm2 = np.sum(n * n, axis=-1)
+    bad = ~(np.abs(norm2 - 1.0) <= BLOCH_UNIT_TOL)  # NaN fails too
+    if bad.any():
+        raise ValueError(
+            f"bloch vectors must have unit length, got |n|^2 = {float(norm2[bad][0])!r}"
+        )
     return np.concatenate((np.zeros(n.shape[:-1] + (1,)), n), axis=-1)
 
 
-def pauli_vector(obs: Observable) -> np.ndarray:
-    """Real 4-vector c with M = sum_mu c_mu sigma_mu: c_mu = Re tr(M sigma_mu) / 2."""
-    return np.einsum("ij,mji->m", obs.matrix, PAULIS).real / 2.0
-
-
 def bloch_of(obs: Observable) -> tuple[float, float, float]:
-    """The Bloch vector (c_x, c_y, c_z) of `pauli_vector`."""
-    return tuple(float(c) for c in pauli_vector(obs)[1:])
+    """The Bloch vector (c_x, c_y, c_z) of `obs.pauli`."""
+    return tuple(obs.pauli[1:].tolist())
 
 
 @dataclass(eq=False)
@@ -198,14 +208,14 @@ def joint_distribution(rho: DensityMatrix, a: Observable, b: Observable) -> Join
     """Born-rule joint outcomes p(alpha, beta) = tr(rho (P_alpha x P_beta)),
     P_alpha = (I + alpha M) / 2: (1/4) (e0 + alpha a)^T R (e0 + beta b)."""
     r = pauli_correlations(rho)
-    u, v = (_E0 + np.outer((1.0, -1.0), pauli_vector(obs)) for obs in (a, b))
+    u, v = (_E0 + np.outer((1.0, -1.0), obs.pauli) for obs in (a, b))
     (pp, pm), (mp, mm) = (0.25 * u @ r @ v.T).tolist()
     return JointDistribution(p_pp=pp, p_pm=pm, p_mp=mp, p_mm=mm)
 
 
 def correlation(rho: DensityMatrix, a: Observable, b: Observable) -> float:
     """E(a, b) = tr(rho (A x B)) = a^T R b, in [-1, 1] up to rounding."""
-    return float(pauli_vector(a) @ pauli_correlations(rho) @ pauli_vector(b))
+    return float(a.pauli @ pauli_correlations(rho) @ b.pauli)
 
 
 def correlation_tensor(rho: DensityMatrix) -> np.ndarray:

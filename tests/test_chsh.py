@@ -27,7 +27,7 @@ from chshlab import (
 from chshlab import chsh, rng
 from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_scenario
 from chshlab.linalg import frobenius
-from chshlab.quantum import SIGMA_X, SIGMA_Z, pauli_vector
+from chshlab.quantum import SIGMA_X, SIGMA_Z
 
 from helpers import (kron_chsh_operator, kron_identity_target, kron_max_s_over_settings,
                      random_density, random_observable, random_pure_density,
@@ -80,8 +80,8 @@ class TestStackedPass:
     def test_operator_matches_kron_oracle(self):
         rng_np = np.random.default_rng(66)
         scenarios = [np_random_scenario(rng_np) for _ in range(300)]
-        scenarios.append(Scenario(Observable(np.eye(2), "a1"), *scenarios[0].observables()[1:]))
-        vectors = np.array([[pauli_vector(o) for o in sc.observables()] for sc in scenarios])
+        scenarios.append(Scenario(Observable((1.0, 0.0, 0.0, 0.0), "a1"), *scenarios[0].observables()[1:]))
+        vectors = np.array([[o.pauli for o in sc.observables()] for sc in scenarios])
         got = chsh._chsh_pass(vectors).operator
         for c, sc in zip(got, scenarios):
             want = kron_chsh_operator(*(o.matrix for o in sc.observables()))
@@ -94,7 +94,7 @@ class TestStackedPass:
         rng_np = np.random.default_rng(68)
         scenarios = [np_random_scenario(rng_np) for _ in range(300)]
         a1, a2, b1, b2 = scenarios[0].observables()
-        eye, minus_eye = Observable(np.eye(2), "I"), Observable(-np.eye(2), "-I")
+        eye, minus_eye = Observable((1.0, 0.0, 0.0, 0.0), "I"), Observable((-1.0, 0.0, 0.0, 0.0), "-I")
         scenarios += [Scenario(eye, a2, b1, b2), Scenario(a1, minus_eye, b1, b2),
                       Scenario(a1, a2, eye, minus_eye), Scenario(a1, a1, b1, b2)]
         for sc in scenarios:
@@ -370,7 +370,7 @@ class TestIdentityObservables:
     # +/-I square to the identity too, so they are legal settings even
     # though no Bloch vector produces them
     def test_identity_settings_cannot_violate(self):
-        eye = Observable(np.eye(2, dtype=complex), "a")
+        eye = Observable((1.0, 0.0, 0.0, 0.0), "a")
         rng = np.random.default_rng(64)
         sc = Scenario(eye, eye, random_observable(rng, "b1"), random_observable(rng, "b2"))
         rep = analyze(sc)
@@ -380,7 +380,7 @@ class TestIdentityObservables:
         assert rep.identity_residual < 1e-10
 
     def test_mixed_identity_and_pauli(self):
-        eye = Observable(np.eye(2, dtype=complex), "a1")
+        eye = Observable((1.0, 0.0, 0.0, 0.0), "a1")
         sz = observable_from_bloch((0, 0, 1), "a2")
         rng = np.random.default_rng(65)
         sc = Scenario(eye, sz, random_observable(rng, "b1"), random_observable(rng, "b2"))

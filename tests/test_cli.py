@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -9,7 +10,6 @@ import pytest
 
 from chshlab import __version__
 from chshlab.cli import main
-from chshlab import fileio
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -55,9 +55,9 @@ class TestAnalyze:
         scen = write_scenario(tmp_path / "opt.json")
         out = tmp_path / "report.json"
         assert main(["analyze", str(scen), "--output", str(out)]) == 0
-        doc = fileio.parse_document(out.read_text())
-        report = fileio.result_from_document(doc)
-        assert abs(report.chsh_operator_norm - np.sqrt(2.0)) < 1e-10
+        doc = json.loads(out.read_text())
+        assert doc["command"] == "analyze"
+        assert abs(doc["report"]["chsh_operator_norm"] - np.sqrt(2.0)) < 1e-10
         assert "wrote" in capsys.readouterr().out
 
     def test_degenerate_scenario_passes_expectation(self, tmp_path, capsys):
@@ -91,6 +91,13 @@ class TestAnalyze:
         scen = write_scenario(tmp_path / "huge.json", b1={"bloch": [10**400, 0, 0]})
         assert main(["analyze", str(scen)]) == 1
         assert "b1.bloch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b1", [{"bloch": ["0", "0", "1"]}, {"angle": True}],
+                             ids=["string", "boolean"])
+    def test_string_or_boolean_number_is_parse_error(self, tmp_path, capsys, b1):
+        scen = write_scenario(tmp_path / "typed.json", b1=b1)
+        assert main(["analyze", str(scen)]) == 1
+        assert "b1." in capsys.readouterr().err
 
 
 class TestCheckIdentity:
@@ -126,9 +133,9 @@ class TestSimulate:
                      "--output", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "s_hat" in printed and "s_exact" in printed
-        doc = fileio.parse_document(out.read_text())
-        result = fileio.result_from_document(doc)
-        assert abs(result.s_hat - TSIRELSON) <= 5.0 * result.s_stderr
+        doc = json.loads(out.read_text())
+        result = doc["result"]
+        assert abs(result["s_hat"] - TSIRELSON) <= 5.0 * result["s_stderr"]
         assert abs(doc["s_exact"] - TSIRELSON) < 1e-9
         assert doc["input"]["seed"] == 42
 
@@ -170,10 +177,10 @@ class TestSweep:
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--phi-steps", "7", "--state", "psi_minus",
                      "--output", str(out)]) == 0
-        result = fileio.result_from_document(fileio.parse_document(out.read_text()))
-        assert len(result.rows) == 7
-        assert result.rows[0].max_s <= 2.0 + 1e-9
-        assert abs(result.rows[-1].max_s - TSIRELSON) < 1e-6
+        result = json.loads(out.read_text())["result"]
+        assert len(result["rows"]) == 7
+        assert result["rows"][0]["max_s"] <= 2.0 + 1e-9
+        assert abs(result["rows"][-1]["max_s"] - TSIRELSON) < 1e-6
 
     def test_csv_matches_json(self, tmp_path):
         out_json = tmp_path / "s.json"
@@ -181,11 +188,13 @@ class TestSweep:
         assert main(["sweep", "--phi-steps", "5", "--output", str(out_json)]) == 0
         assert main(["sweep", "--phi-steps", "5", "--format", "csv",
                      "--output", str(out_csv)]) == 0
-        result = fileio.result_from_document(fileio.parse_document(out_json.read_text()))
-        rows = fileio.sweep_rows_from_csv(out_csv.read_text())
-        for csv_row, row in zip(rows, result.rows):
+        rows = json.loads(out_json.read_text())["result"]["rows"]
+        with open(out_csv, newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        assert len(csv_rows) == len(rows) == 5
+        for csv_row, row in zip(csv_rows, rows):
             for key in ("phi", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet"):
-                assert abs(csv_row[key] - getattr(row, key)) <= 1e-12
+                assert float(csv_row[key]) == row[key]
 
     def test_csv_to_stdout(self, capsys):
         assert main(["sweep", "--phi-steps", "3", "--format", "csv"]) == 0

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from chshlab import (
 from chshlab import fileio
 from chshlab.fileio import FormatError
 from chshlab.quantum import SIGMA_Z
+from chshlab.sampler import PAIR_LABELS
 
 
 def optimal_doc(state="psi_minus"):
@@ -63,8 +67,7 @@ class TestScenarioParsing:
         with pytest.raises(FormatError, match="invalid JSON"):
             fileio.parse_scenario("{not json")
 
-    @pytest.mark.parametrize("parse", [fileio.parse_scenario, fileio.parse_document],
-                             ids=["scenario", "document"])
+    @pytest.mark.parametrize("parse", [fileio.parse_scenario], ids=["scenario"])
     def test_too_deeply_nested_json_is_format_error(self, parse):
         with pytest.raises(FormatError, match="invalid JSON"):
             parse("[" * 100_000 + "]" * 100_000)
@@ -125,30 +128,55 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="state.matrix"):
             fileio.parse_scenario(json.dumps(optimal_doc(state={"matrix": bad})))
 
+    @pytest.mark.parametrize("bad", ["0", "1.0", True, False, None, [1.0], {"re": 1.0}],
+                             ids=["str", "str_float", "true", "false", "null", "list", "object"])
+    @pytest.mark.parametrize("field, make, where", [
+        ("b1", lambda v: {"bloch": [0.0, v, 1.0]}, "b1.bloch"),
+        ("b1", lambda v: {"angle": v}, "b1.angle"),
+        ("state", lambda v: {"matrix": [[[0.25, v] if i == j == 2 else [0.25 if i == j else 0.0, 0.0]
+                                         for j in range(4)] for i in range(4)]}, "state.matrix[2][2]"),
+    ], ids=["bloch", "angle", "matrix"])
+    def test_non_number_is_format_error(self, field, make, where, bad):
+        # JSON strings and booleans are not numbers, even where float() would take them
+        doc = optimal_doc()
+        doc[field] = make(bad)
+        with pytest.raises(FormatError, match=re.escape(f"{where}: expected a number")):
+            fileio.parse_scenario(json.dumps(doc))
+
+
+def written(payload_dict):
+    """A payload as it reads back from its serialized document."""
+    return json.loads(fileio.dumps(payload_dict))
+
 
 class TestRoundTrips:
+    """Documents are write-only; `json.loads` and `csv` recover each payload
+    exactly, compared with `dataclasses.asdict` of the typed result."""
+
     def test_report_round_trip(self):
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc()))
         report = analyze(sc)
-        assert fileio.report_from_dict(fileio.report_to_dict(report)) == report
+        assert written(fileio.report_to_dict(report)) == asdict(report)
 
     def test_report_round_trip_without_state(self):
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc(state=None)))
         report = analyze(sc)
         assert report.s_value is None
-        recovered = fileio.report_from_dict(json.loads(json.dumps(fileio.report_to_dict(report))))
-        assert recovered == report
+        recovered = written(fileio.report_to_dict(report))
+        assert recovered["s_value"] is None
+        assert recovered == asdict(report)
 
     def test_run_result_round_trip(self):
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc()))
         result = run_experiment(RunConfig(sc, shots_per_pair=2000, seed=17))
-        through_json = json.loads(json.dumps(fileio.run_result_to_dict(result)))
-        assert fileio.run_result_from_dict(through_json) == result
+        through_json = written(fileio.run_result_to_dict(result))
+        assert [c.pop("pair") for c in through_json["counts"]] == list(PAIR_LABELS)
+        assert through_json == asdict(result)
 
     def test_sweep_result_round_trip(self):
         result = incompatibility_sweep(4, bell_state("psi_minus"))
-        through_json = json.loads(json.dumps(fileio.sweep_result_to_dict(result)))
-        assert fileio.sweep_result_from_dict(through_json) == result
+        through_json = written(fileio.sweep_result_to_dict(result))
+        assert through_json == asdict(result)
 
     def test_document_round_trip(self):
         sc, echo = fileio.parse_scenario(json.dumps(optimal_doc()))
@@ -156,10 +184,11 @@ class TestRoundTrips:
         doc = fileio.make_document("analyze", {"scenario": echo}, "report",
                                    fileio.report_to_dict(report))
         text = fileio.dumps(doc)
-        parsed = fileio.parse_document(text)
+        parsed = json.loads(text)
         assert parsed["tool"] == "chshlab"
+        assert parsed["command"] == "analyze"
         assert parsed["input"]["scenario"] == echo
-        assert fileio.result_from_document(parsed) == report
+        assert parsed["report"] == asdict(report)
 
     def test_dumps_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -167,14 +196,11 @@ class TestRoundTrips:
 
     def test_csv_matches_json_exactly(self):
         result = incompatibility_sweep(6, bell_state("psi_minus"))
-        rows = fileio.sweep_rows_from_csv(fileio.sweep_result_to_csv(result))
+        rows = list(csv.DictReader(io.StringIO(fileio.sweep_result_to_csv(result))))
         assert len(rows) == 6
         for csv_row, row in zip(rows, result.rows):
-            assert csv_row["phi"] == row.phi
-            assert csv_row["comm_a_norm"] == row.comm_a_norm
-            assert csv_row["comm_b_norm"] == row.comm_b_norm
-            assert csv_row["max_s"] == row.max_s
-            assert csv_row["s_singlet"] == row.s_singlet
+            assert {k: float(v) for k, v in csv_row.items()} == {
+                k: getattr(row, k) for k in fileio.SWEEP_CSV_COLUMNS}
 
     def test_csv_header_contract(self):
         result = incompatibility_sweep(2, bell_state("psi_minus"))
@@ -182,7 +208,3 @@ class TestRoundTrips:
         assert text.split("\n")[0] == "phi,comm_a_norm,comm_b_norm,max_s,s_singlet"
         assert text.endswith("\n")
         assert "," in text and ";" not in text
-
-    def test_unknown_document_command(self):
-        with pytest.raises(FormatError, match="unknown report command"):
-            fileio.result_from_document({"command": "frobnicate"})

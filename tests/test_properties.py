@@ -6,6 +6,7 @@ Examples are derandomized, so every run draws the same inputs.
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from chshlab import fileio
 from chshlab.chsh import Report
 from chshlab.cli import main
-from chshlab.sampler import PairCounts, RunResult
+from chshlab.sampler import PAIR_LABELS, PairCounts, RunResult
 from chshlab.sweep import PlanarSettings, SweepResult, SweepRow
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -71,10 +72,13 @@ documents = st.one_of(
 def test_document_round_trip_is_bit_exact(case):
     command, key, to_dict, payload = case
     text = fileio.dumps(fileio.make_document(command, {}, key, to_dict(payload)))
-    back = fileio.result_from_document(fileio.parse_document(text))
-    assert back == payload
+    doc = json.loads(text)
     # floats serialize through repr, so equal text means bit-equal floats (-0.0 included)
-    assert fileio.dumps(fileio.make_document(command, {}, key, to_dict(back))) == text
+    assert fileio.dumps(doc) == text
+    back = doc[key]
+    if command == "simulate":
+        assert [c.pop("pair") for c in back["counts"]] == list(PAIR_LABELS)
+    assert doc["command"] == command and back == asdict(payload)
 
 
 huge_ints = st.integers(min_value=10**308, max_value=10**400)  # most overflow a float

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,13 @@ from chshlab.linalg import frobenius, hermitian_eigen
 from chshlab.quantum import (
     BELL_STATE_NAMES,
     IDENTITY_2,
+    OBSERVABLE_TOL,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     bloch_settings,
     pauli_correlations,
-    pauli_vector,
 )
 
 from helpers import (
@@ -59,24 +62,78 @@ class TestObservable:
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = random_bloch(rng)
-            back = bloch_of(observable_from_bloch(n))
-            assert max(abs(a - b) for a, b in zip(n, back)) < 1e-12
+            assert bloch_of(observable_from_bloch(n)) == tuple(n)
+        # exact to the bit: signed zeros come back as they went in
+        back = bloch_of(observable_from_bloch((-0.0, 0.0, -1.0)))
+        assert np.signbit(back).tolist() == [True, False, True]
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            Observable(np.array([[0, 1], [0, 0]], dtype=complex), label="bad")
+        # a complex Pauli vector is the only way to a non-Hermitian M:
+        # (0, 1, i, 0) is sx + i sy = [[0, 2], [0, 0]]
+        with pytest.raises(ValueError, match="must be real"):
+            Observable(np.array([0.0, 1.0, 1j, 0.0]), label="bad")
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0),
+                                     (0.0, 0.0, 0.0, -np.inf), (0.0, 1.0, np.nan, 0.0)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="square to the identity"):
+            Observable(bad)
 
     def test_rejects_wrong_spectrum(self):
+        # M = diag(1, 0.5): Hermitian, but it does not square to I
         with pytest.raises(ValueError, match="square to the identity"):
-            Observable(np.diag([1.0, 0.5]).astype(complex))
+            Observable((0.75, 0.0, 0.0, 0.25))
 
     def test_rejects_wrong_dim(self):
-        with pytest.raises(ValueError, match="2x2"):
-            Observable(np.eye(4, dtype=complex))
+        for bad in ((0.0, 0.0, 1.0), np.eye(2), np.zeros((4, 1)), 1.0):
+            with pytest.raises(ValueError, match="Pauli 4-vector"):
+                Observable(bad)
 
     def test_label_appears_in_diagnostics(self):
         with pytest.raises(ValueError, match="'b2'"):
-            Observable(np.diag([1.0, 0.5]).astype(complex), label="b2")
+            Observable((0.75, 0.0, 0.0, 0.25), label="b2")
+
+    def test_pauli_vector_is_read_only(self):
+        c = np.array([0.0, 0.0, 0.0, 1.0])
+        obs = Observable(c)
+        c[3] = -1.0  # the observable holds its own copy
+        assert obs.pauli.tolist() == [0.0, 0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            obs.pauli[3] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            observable_from_bloch((1.0, 0.0, 0.0)).pauli[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.pauli = np.array([3.0, 0.0, 0.0, 0.0])
+
+    def test_closed_form_check_matches_matrix_residual(self):
+        # sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2|c0||c'|) is ||M^2 - I||_F: it must
+        # accept and reject exactly where the matrix residual does
+        rng = np.random.default_rng(54)
+        cases = [(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.0, *random_bloch(rng))]
+        for scale in (1e-13, 3e-11, 1e-10, 2e-10, 1e-6, 0.3, 2.0):
+            for _ in range(40):
+                base = (rng.choice((-1.0, 1.0)), 0.0, 0.0, 0.0) if rng.random() < 0.3 \
+                    else (0.0, *random_bloch(rng))
+                cases.append(np.asarray(base) + scale * rng.normal(size=4))
+        cases += [(0.5, 0.5, 0.5, 0.0), (0.6, 0.0, 0.0, 0.8), (0.3, 0.4, 0.0, 0.0)]
+        accepted = 0
+        for c in cases:
+            c0, r = c[0], float(np.linalg.norm(c[1:]))
+            m = np.tensordot(np.asarray(c, dtype=float), PAULIS, axes=1)
+            matrix_residual = frobenius(m @ m - IDENTITY_2)
+            closed = np.sqrt(2.0) * np.hypot(c0 * c0 + r * r - 1.0, 2.0 * abs(c0) * r)
+            assert abs(closed - matrix_residual) <= 1e-15 * max(1.0, matrix_residual)
+            if abs(matrix_residual - OBSERVABLE_TOL) <= 1e-14:
+                continue  # too close to the threshold for rounding to settle
+            if matrix_residual <= OBSERVABLE_TOL:
+                accepted += 1
+                obs = Observable(c)
+                assert obs.pauli.tolist() == [float(x) for x in c]
+                assert frobenius(obs.matrix @ obs.matrix - IDENTITY_2) == matrix_residual
+            else:
+                with pytest.raises(ValueError, match="square to the identity"):
+                    Observable(c)
+        assert 0 < accepted < len(cases)
 
 
 class TestStates:
@@ -222,11 +279,12 @@ class TestPauliCoordinates:
         rng = np.random.default_rng(51)
         for _ in range(100):
             n = random_bloch(rng)
-            assert pauli_vector(observable_from_bloch(n)).tolist() == [0.0, *n]
+            assert observable_from_bloch(n).pauli.tolist() == [0.0, *n]
 
     def test_pauli_vector_keeps_identity_component(self):
-        assert pauli_vector(Observable(IDENTITY_2)).tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert pauli_vector(Observable(-IDENTITY_2)).tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert Observable((1, 0, 0, 0)).pauli.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert Observable((-1, 0, 0, 0)).pauli.tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(Observable((-1, 0, 0, 0)).matrix, -IDENTITY_2)
 
     def test_correlations_of_product_state(self):
         # R of rho_A x rho_B is the outer product of (1, r_A) and (1, r_B)
@@ -247,7 +305,7 @@ class TestPauliCoordinates:
         paulis = bloch_settings(vecs)
         assert paulis.shape == (50, 4, 4)
         for n, c in zip(vecs.reshape(-1, 3), paulis.reshape(-1, 4)):
-            assert np.array_equal(c, pauli_vector(observable_from_bloch(n)))
+            assert np.array_equal(c, observable_from_bloch(n).pauli)
 
     @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (0.6, 0.0, 0.9), (np.nan, 0.0, 1.0)])
     def test_stacked_bloch_settings_check_unit_length(self, bad):
@@ -264,8 +322,8 @@ class TestIdentityComponent:
         rng = np.random.default_rng(53)
         self.rho = DensityMatrix(np.kron(random_qubit_density(rng), random_qubit_density(rng)))
         self.obs = [
-            Observable(IDENTITY_2, "id"),
-            Observable(-IDENTITY_2, "-id"),
+            Observable((1.0, 0.0, 0.0, 0.0), "id"),
+            Observable((-1.0, 0.0, 0.0, 0.0), "-id"),
             random_observable(rng, "a"),
             random_observable(rng, "b"),
         ]
