@@ -6,14 +6,16 @@ either a named state, an explicit 4x4 density matrix as row-major
 `[re, im]` pairs, or null.  Every number in a scenario must be a JSON
 number; strings and booleans are format errors.  Report files are written,
 never read back here: they wrap the typed payload together with the tool
-version and an echo of the inputs.  Floats serialize through `repr`, so
-`json.loads` (or `csv` for the sweep table) recovers every double exactly.
+version and an echo of the inputs.  Payloads are built from each result's
+fields with `vars`, a shallow copy: the fields are already plain floats,
+ints, strings and lists, so a deep copy (`dataclasses.asdict`) would only
+copy them again.  Floats serialize through `repr`, so `json.loads` (or `csv`
+for the sweep table) recovers every double exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .quantum import (
     observable_from_bloch,
 )
 from .sampler import PAIR_LABELS, RunResult
-from .sweep import SweepResult
+from .sweep import SweepResult, SweepRow
 
 STATE_NAMES = BELL_STATE_NAMES + ("maximally_mixed",)
 SWEEP_CSV_COLUMNS = ("phi", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet")
@@ -132,7 +134,7 @@ def load_scenario(path) -> tuple[Scenario, dict]:
 # report payloads
 
 def report_to_dict(r: Report) -> dict:
-    return asdict(r)
+    return dict(vars(r))
 
 
 def run_result_to_dict(r: RunResult) -> dict:
@@ -140,7 +142,7 @@ def run_result_to_dict(r: RunResult) -> dict:
         "seed": r.seed,
         "shots_per_pair": r.shots_per_pair,
         "counts": [
-            {"pair": label, **asdict(c)} for label, c in zip(PAIR_LABELS, r.counts)
+            {"pair": label, **vars(c)} for label, c in zip(PAIR_LABELS, r.counts)
         ],
         "e_hat": list(r.e_hat),
         "s_hat": r.s_hat,
@@ -148,11 +150,15 @@ def run_result_to_dict(r: RunResult) -> dict:
     }
 
 
+def _row_to_dict(row: SweepRow) -> dict:
+    return {**vars(row), "settings": dict(vars(row.settings))}
+
+
 def sweep_result_to_dict(r: SweepResult) -> dict:
     return {
         "phi_steps": r.phi_steps,
-        "rows": [asdict(row) for row in r.rows],
-        "best": asdict(r.best),
+        "rows": [_row_to_dict(row) for row in r.rows],
+        "best": _row_to_dict(r.best),
     }
 
 

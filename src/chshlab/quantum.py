@@ -45,6 +45,7 @@ _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 
 BELL_STATE_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+_REAL_TYPES = (int, float, np.integer, np.floating)  # bool is an int, so checked apart
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +56,8 @@ class Observable:
     M^2 = (c0^2 + |c'|^2) I + 2 c0 c' . sigma, so for real c
     ||M^2 - I||_F = sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2 |c0| |c'|), which must
     not exceed OBSERVABLE_TOL: c is +/-e0 or (0, n) for a unit n, up to rounding.
+    The entries of c must be ints or floats (`_real_array`); +/-I is written
+    Observable((+/-1, 0, 0, 0)).
     """
 
     pauli: np.ndarray
@@ -62,9 +65,7 @@ class Observable:
 
     def __post_init__(self):
         tag = f"observable {self.label!r}" if self.label else "observable"
-        if np.iscomplexobj(self.pauli):
-            raise ValueError(f"{tag}: Pauli vector must be real")
-        c = np.array(self.pauli, dtype=np.float64)
+        c = _real_array(self.pauli, f"{tag}: Pauli vector").copy()
         if c.shape != (4,):
             raise ValueError(f"{tag}: expected a Pauli 4-vector, got shape {c.shape}")
         c0, *bloch = c.tolist()
@@ -81,6 +82,24 @@ class Observable:
         return np.tensordot(self.pauli, PAULIS, axes=1)
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """`x` as a float64 array, whose entries must be ints or floats.
+
+    Strings, booleans, complex numbers and other objects raise ValueError
+    rather than pass through numpy's casts ("1" -> 1.0, True -> 1.0).  An
+    ndarray is judged by its dtype; other input entry by entry, since numpy
+    would give [True, 0.0] a float dtype.
+    """
+    if isinstance(x, np.ndarray):
+        real = x.dtype.kind in "iuf"
+    else:
+        real = all(isinstance(v, _REAL_TYPES) and not isinstance(v, bool)
+                   for v in np.asarray(x, dtype=object).flat)
+    if not real:
+        raise ValueError(f"{what} must be real numbers (int or float)")
+    return np.asarray(x, dtype=np.float64)
+
+
 def observable_from_bloch(n, label: str = "") -> Observable:
     """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z)."""
     return Observable(bloch_settings(n), label=label)
@@ -92,9 +111,9 @@ def bloch_settings(vectors) -> np.ndarray:
 
     Each n must satisfy abs(|n|^2 - 1) <= BLOCH_UNIT_TOL; the M^2 = I residual
     of (0, n) is then sqrt(2) abs(|n|^2 - 1) <= 1.5e-12, far below
-    OBSERVABLE_TOL.
+    OBSERVABLE_TOL.  Entries must be ints or floats (`_real_array`).
     """
-    n = np.asarray(vectors, dtype=np.float64)
+    n = _real_array(vectors, "bloch vectors")
     with np.errstate(over="ignore"):  # a component beyond 1e154 fails the check below
         norm2 = np.sum(n * n, axis=-1)
     bad = ~(np.abs(norm2 - 1.0) <= BLOCH_UNIT_TOL)  # NaN fails too
@@ -110,14 +129,16 @@ def bloch_of(obs: Observable) -> tuple[float, float, float]:
     return tuple(obs.pauli[1:].tolist())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Positive semidefinite, unit-trace operator (dim 2 or 4)."""
+    """Positive semidefinite, unit-trace operator (dim 2 or 4), held as a
+    read-only complex128 copy (`matrix`): later writes to the caller's array
+    do not reach a validated state, and the state's own array rejects them."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
+        m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
         if m.shape[0] not in (2, 4):
             raise ValueError(f"density matrix must have dim 2 or 4, got {m.shape[0]}")
         if not linalg.is_hermitian(m):
@@ -128,7 +149,8 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])  # ascending
         if lo < _EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
-        self.matrix = m
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)  # frozen, so no later rebinding skips the checks
 
     @property
     def dim(self) -> int:

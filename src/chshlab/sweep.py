@@ -26,10 +26,10 @@ R = `quantum.pauli_correlations`, where S = a1^T T (b1 + b2) + a2^T T (b1 - b2):
 Maximizers form continuous families, most visibly on degenerate spectra (the
 singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
 pick one canonical representative that does not depend on any LAPACK build.
-Each sweep row's reported values come from one stacked pass behind
-`bloch_settings`' unit check; `optimize_settings` takes its S as
-2 <M, R> from the maximizing settings' Pauli vectors and the R it already
-holds, without building a `Scenario`.
+A sweep is one stacked pass behind `bloch_settings`' unit check plus one
+stacked eigensolve (`linalg.operator_norm` over every row's C);
+`optimize_settings` takes its S as 2 <M, R> from the maximizing settings'
+Pauli vectors and the R it already holds, without building a `Scenario`.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     2||C|| = 2 sqrt(1 + sin phi) and, among those, maximize S at the
     supplied state.  One `chsh._chsh_pass` over every row's Pauli vectors gives
     both local commutator norms, C for the ceiling 2||C|| and M for S = 2 <M, R>
-    at the state.
+    at the state; one `operator_norm` call over the stack of C gives every
+    row's ceiling.
     """
     if phi_steps < 2:
         raise ValueError("phi_steps >= 2 required")
@@ -185,10 +186,11 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     p = _chsh_pass(bloch_settings(_planar_bloch([ps.as_tuple() for ps in settings])))
     # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does
     s_values = 2.0 * (p.coefficients.reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
+    max_s = 2.0 * operator_norm(p.operator)  # one stacked eigensolve for every row
     rows = [
-        SweepRow(phi, ps, comm_a, comm_b, 2.0 * operator_norm(c), s)
-        for phi, ps, (comm_a, comm_b), c, s in zip(
-            phis, settings, p.commutator_norms.tolist(), p.operator, s_values.ravel().tolist())
+        SweepRow(phi, ps, comm_a, comm_b, m, s)
+        for phi, ps, (comm_a, comm_b), m, s in zip(
+            phis, settings, p.commutator_norms.tolist(), max_s.tolist(), s_values.ravel().tolist())
     ]
-    best = rows[int(np.argmax([r.max_s for r in rows]))]
+    best = rows[int(np.argmax(max_s))]
     return SweepResult(rows=rows, best=best, phi_steps=phi_steps)

@@ -190,6 +190,41 @@ class TestRoundTrips:
         assert parsed["input"]["scenario"] == echo
         assert parsed["report"] == asdict(report)
 
+    def test_payloads_serialize_as_the_deep_copy_would(self):
+        # the shallow payloads keep asdict's key order, so the bytes match
+        sc, _ = fileio.parse_scenario(json.dumps(optimal_doc()))
+        report = analyze(sc)
+        result = run_experiment(RunConfig(sc, shots_per_pair=500, seed=3))
+        run_deep = asdict(result)
+        run_deep = {
+            "seed": run_deep["seed"],
+            "shots_per_pair": run_deep["shots_per_pair"],
+            "counts": [{"pair": label, **c} for label, c in zip(PAIR_LABELS, run_deep["counts"])],
+            "e_hat": run_deep["e_hat"],
+            "s_hat": run_deep["s_hat"],
+            "s_stderr": run_deep["s_stderr"],
+        }
+        sweep = incompatibility_sweep(7, bell_state("phi_plus"))
+        sweep_deep = asdict(sweep)
+        sweep_deep = {"phi_steps": sweep_deep["phi_steps"], "rows": sweep_deep["rows"],
+                      "best": sweep_deep["best"]}
+        for shallow, deep in ((fileio.report_to_dict(report), asdict(report)),
+                              (fileio.run_result_to_dict(result), run_deep),
+                              (fileio.sweep_result_to_dict(sweep), sweep_deep)):
+            assert fileio.dumps(shallow) == fileio.dumps(deep)
+
+    def test_payloads_are_copies(self):
+        # shallow, but writing to a payload never writes to the result
+        result = incompatibility_sweep(3, bell_state("psi_minus"))
+        payload = fileio.sweep_result_to_dict(result)
+        payload["rows"][0]["settings"]["beta1"] = -1.0
+        payload["best"]["max_s"] = -1.0
+        assert result.rows[0].settings.beta1 != -1.0
+        assert result.best.max_s != -1.0
+        report = analyze(fileio.parse_scenario(json.dumps(optimal_doc()))[0])
+        fileio.report_to_dict(report)["violates"] = None
+        assert report.violates is True
+
     def test_dumps_rejects_nan(self):
         with pytest.raises(ValueError):
             fileio.dumps({"s_value": float("nan")})

@@ -89,6 +89,29 @@ class TestObservable:
             with pytest.raises(ValueError, match="Pauli 4-vector"):
                 Observable(bad)
 
+    @pytest.mark.parametrize("bad", [("0", "0", "1"), (True, False, False), (True, 0.0, 0.0),
+                                     (None, 0.0, 1.0), np.array([False, False, True]),
+                                     np.array(["0", "0", "1"]), np.array([0.0, 0.0, 1.0], dtype=object),
+                                     (0.0, 0.0, 1.0 + 0.0j)])
+    def test_bloch_input_must_be_ints_or_floats(self, bad):
+        with pytest.raises(ValueError, match="real numbers"):
+            observable_from_bloch(bad)
+        with pytest.raises(ValueError, match="real numbers"):
+            bloch_settings([bad, (1.0, 0.0, 0.0)] if not isinstance(bad, np.ndarray) else bad)
+
+    @pytest.mark.parametrize("bad", [("-1", "0", "0", "0"), (True, False, False, False),
+                                     (1, 0, 0, False), np.array([1, 0, 0, 0], dtype=object),
+                                     np.array([True, False, False, False]), "1000"])
+    def test_pauli_input_must_be_ints_or_floats(self, bad):
+        with pytest.raises(ValueError, match="real numbers"):
+            Observable(bad)
+
+    def test_integer_input_is_accepted(self):
+        assert Observable((1, 0, 0, 0)).pauli.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert Observable(np.array([-1, 0, 0, 0])).pauli.tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert observable_from_bloch((0, np.int64(1), 0)).pauli.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert bloch_settings(np.array([[0, 0, 1]], dtype=np.int32)).tolist() == [[0.0, 0.0, 0.0, 1.0]]
+
     def test_label_appears_in_diagnostics(self):
         with pytest.raises(ValueError, match="'b2'"):
             Observable((0.75, 0.0, 0.0, 0.25), label="b2")
@@ -174,6 +197,25 @@ class TestStates:
 
     def test_maximally_mixed(self):
         assert np.array_equal(maximally_mixed(4).matrix, np.eye(4) / 4.0)
+
+    def test_density_matrix_is_read_only(self):
+        rho = bell_state("psi_minus")
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.matrix = np.eye(4, dtype=complex)
+        assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-15)
+
+    def test_density_matrix_holds_its_own_copy(self):
+        # a complex128 input, which `np.asarray` alone would not copy
+        m = np.eye(4, dtype=np.complex128) / 4.0
+        rho = DensityMatrix(m)
+        m[0, 0] = 5.0
+        assert rho.matrix[0, 0] == 0.25
+        assert rho.matrix.dtype == np.complex128
+        sc = Scenario(*(observable_from_bloch(n) for n in ((0, 0, 1), (1, 0, 0),
+                                                            (0, 0, 1), (1, 0, 0))), state=rho)
+        assert s_value(sc) == 0.0
 
 
 class TestJointDistribution:

@@ -176,6 +176,24 @@ class TestIncompatibilitySweep:
             assert best <= row.s_singlet + 1e-12
             assert best >= row.s_singlet - 1e-4
 
+    @pytest.mark.parametrize("name", ["phi_plus", "phi_minus", "psi_plus", "psi_minus",
+                                      "maximally_mixed", "random_mixed", "random_pure"])
+    @pytest.mark.parametrize("steps", [2, 5, 19])
+    def test_stacked_ceiling_matches_single_scenarios(self, name, steps):
+        # the one stacked eigensolve gives each row exactly the per-scenario 2||C||
+        rng = np.random.default_rng(steps)
+        if name == "random_mixed":
+            rho = random_density(rng)
+        elif name == "random_pure":
+            rho = DensityMatrix(random_pure_density(rng, 4))
+        elif name == "maximally_mixed":
+            rho = maximally_mixed(4)
+        else:
+            rho = bell_state(name)
+        result = incompatibility_sweep(steps, rho)
+        for row in result.rows:
+            assert row.max_s == max_s_over_states(settings_to_scenario(row.settings))
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="phi_steps"):
             incompatibility_sweep(1, bell_state("psi_minus"))
