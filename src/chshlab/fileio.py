@@ -64,7 +64,7 @@ def observable_from_spec(spec, name: str) -> Observable:
             isinstance(vec, (list, tuple)) and len(vec) == 3,
             f"{name}.bloch: expected three numbers",
         )
-        n = [_number(c, f"{name}.bloch") for c in vec]
+        n = np.array([_number(c, f"{name}.bloch") for c in vec])  # float64: checked once
         try:
             return observable_from_bloch(n, label=name)
         except ValueError as exc:
@@ -73,7 +73,7 @@ def observable_from_spec(spec, name: str) -> Observable:
         t = _number(spec["angle"], f"{name}.angle")
         if not np.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
-        return observable_from_bloch((np.sin(t), 0.0, np.cos(t)), label=name)
+        return observable_from_bloch(np.array((np.sin(t), 0.0, np.cos(t))), label=name)
     raise FormatError(f"{name}: expected a 'bloch' or 'angle' field")
 
 

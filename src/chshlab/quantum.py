@@ -20,6 +20,7 @@ left Kronecker factor, party B the right one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,18 +179,34 @@ def bell_state(name: str) -> DensityMatrix:
     """One of the four maximally entangled states, as a rank-1 projector.
 
     psi_minus is the singlet (|01> - |10>)/sqrt(2), the state with
-    correlation E(u, v) = -u.v for Bloch directions u, v.
+    correlation E(u, v) = -u.v for Bloch directions u, v.  Each state is
+    built once and shared: a DensityMatrix is frozen and read-only.
     """
-    try:
-        v = _BELL_VECTORS[name]
-    except KeyError:
+    if name not in _BELL_VECTORS:
         raise ValueError(
             f"unknown Bell state {name!r}; expected one of {', '.join(BELL_STATE_NAMES)}"
-        ) from None
-    return pure_state(v)
+        )
+    return _bell_state(name)
+
+
+@functools.cache
+def _bell_state(name: str) -> DensityMatrix:
+    return pure_state(_BELL_VECTORS[name])
 
 
 def maximally_mixed(dim: int = 4) -> DensityMatrix:
+    """I/dim, built once per int dim and shared like `bell_state`'s states.
+
+    A bad dim raises from the build, so no failure is cached; a dim of any
+    other type is built afresh, so that 4.0 or True still raise as np.eye does.
+    """
+    if type(dim) is not int:
+        return _maximally_mixed.__wrapped__(dim)
+    return _maximally_mixed(dim)
+
+
+@functools.cache
+def _maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
 
 
@@ -226,13 +243,22 @@ def pauli_correlations(rho: DensityMatrix) -> np.ndarray:
     return np.einsum("ij,mnji->mn", rho.matrix, PAULI_PRODUCTS).real
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _born_cells(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Born cells of stacked setting pairs, shape (..., 4) in `JointDistribution`
+    order, for the correlations `r` of one state and Pauli vectors `a`, `b` of
+    shape (..., 4): (1/4) (e0 + alpha a)^T R (e0 + beta b), one matmul stack."""
+    u = _E0 + _SIGNS[:, None] * a[..., None, :]
+    v = _E0 + _SIGNS[:, None] * b[..., None, :]
+    return (0.25 * u @ r @ np.swapaxes(v, -1, -2)).reshape(a.shape[:-1] + (4,))
+
+
 def joint_distribution(rho: DensityMatrix, a: Observable, b: Observable) -> JointDistribution:
     """Born-rule joint outcomes p(alpha, beta) = tr(rho (P_alpha x P_beta)),
-    P_alpha = (I + alpha M) / 2: (1/4) (e0 + alpha a)^T R (e0 + beta b)."""
-    r = pauli_correlations(rho)
-    u, v = (_E0 + np.outer((1.0, -1.0), obs.pauli) for obs in (a, b))
-    (pp, pm), (mp, mm) = (0.25 * u @ r @ v.T).tolist()
-    return JointDistribution(p_pp=pp, p_pm=pm, p_mp=mp, p_mm=mm)
+    P_alpha = (I + alpha M) / 2: `_born_cells` of the one pair."""
+    return JointDistribution(*_born_cells(pauli_correlations(rho), a.pauli, b.pauli).tolist())
 
 
 def correlation(rho: DensityMatrix, a: Observable, b: Observable) -> float:

@@ -92,8 +92,9 @@ class TestAnalyze:
         assert main(["analyze", str(scen)]) == 1
         assert "b1.bloch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("b1", [{"bloch": ["0", "0", "1"]}, {"angle": True}],
-                             ids=["string", "boolean"])
+    @pytest.mark.parametrize("b1", [{"bloch": ["0", "0", "1"]}, {"angle": True},
+                                    {"bloch": [0, False, 1]}, {"angle": "0.5"}],
+                             ids=["string", "boolean", "bloch_boolean", "angle_string"])
     def test_string_or_boolean_number_is_parse_error(self, tmp_path, capsys, b1):
         scen = write_scenario(tmp_path / "typed.json", b1=b1)
         assert main(["analyze", str(scen)]) == 1

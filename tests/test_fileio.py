@@ -12,6 +12,7 @@ from chshlab import (
     analyze,
     bell_state,
     incompatibility_sweep,
+    observable_from_bloch,
     run_experiment,
 )
 from chshlab import fileio
@@ -50,6 +51,21 @@ class TestScenarioParsing:
         from chshlab import s_value
 
         assert abs(s_value(sc) - 2.0 * np.sqrt(2.0)) < 1e-9
+
+    def test_spec_forms_match_library_input(self):
+        # the checked components enter observable_from_bloch as a float64
+        # array; the Pauli vector is the one list input gives, bit for bit
+        doc = {"a1": {"bloch": [0.6, 0, 0.8]}, "a2": {"angle": 1.2},
+               "b1": {"bloch": [0, 1, 0]}, "b2": {"angle": -0.4}, "state": None}
+        sc, _ = fileio.parse_scenario(json.dumps(doc))
+        want = {"a1": [0.6, 0, 0.8], "a2": [np.sin(1.2), 0.0, np.cos(1.2)],
+                "b1": [0, 1, 0], "b2": [np.sin(-0.4), 0.0, np.cos(-0.4)]}
+        for name, n in want.items():
+            got = getattr(sc, name)
+            assert np.array_equal(got.pauli, observable_from_bloch(n).pauli)
+            assert got.label == name
+        with pytest.raises(ValueError, match="real numbers"):
+            observable_from_bloch([0.0, False, 1.0])
 
     def test_explicit_matrix_state(self):
         rho = bell_state("phi_plus").matrix

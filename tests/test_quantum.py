@@ -198,6 +198,50 @@ class TestStates:
     def test_maximally_mixed(self):
         assert np.array_equal(maximally_mixed(4).matrix, np.eye(4) / 4.0)
 
+    def test_named_states_are_built_once(self):
+        for name in BELL_STATE_NAMES:
+            assert bell_state(name) is bell_state(name)
+        assert maximally_mixed() is maximally_mixed(4)
+        two, four = maximally_mixed(2), maximally_mixed(4)
+        assert two is maximally_mixed(2) and two is not four
+        assert np.array_equal(two.matrix, np.eye(2) / 2.0) and two.dim == 2
+        assert np.array_equal(four.matrix, np.eye(4) / 4.0) and four.dim == 4
+
+    @pytest.mark.parametrize("make", [lambda: bell_state("psi_minus"), lambda: maximally_mixed(4)],
+                             ids=["bell", "maximally_mixed"])
+    def test_shared_state_cannot_change(self, make):
+        rho = make()
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.matrix = np.eye(4, dtype=complex)
+        assert make().matrix[0, 0] != 5.0
+
+    def test_unknown_bell_name_message(self):
+        want = ("unknown Bell state 'sigma_plus'; expected one of "
+                "phi_plus, phi_minus, psi_plus, psi_minus")
+        for _ in range(2):  # a failed lookup is never cached
+            with pytest.raises(ValueError) as exc:
+                bell_state("sigma_plus")
+            assert str(exc.value) == want
+        with pytest.raises(TypeError, match="unhashable"):
+            bell_state(["psi_minus"])
+
+    @pytest.mark.parametrize("dim, error, match", [
+        (3, ValueError, "dim 2 or 4, got 3"),
+        (1, ValueError, "dim 2 or 4, got 1"),
+        (-1, ValueError, "negative dimensions"),
+        (4.0, TypeError, "'float' object cannot be interpreted as an integer"),
+        ("4", TypeError, "'str' object cannot be interpreted as an integer"),
+        (True, TypeError, "an integer is required"),
+        ([4], TypeError, "'list' object cannot be interpreted as an integer"),
+    ])
+    def test_maximally_mixed_rejects_bad_dim(self, dim, error, match):
+        maximally_mixed(4)  # a cached dim 4 must not answer for 4.0
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                maximally_mixed(dim)
+
     def test_density_matrix_is_read_only(self):
         rho = bell_state("psi_minus")
         with pytest.raises(ValueError, match="read-only"):

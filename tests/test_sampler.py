@@ -19,10 +19,10 @@ from chshlab import (
 )
 from chshlab import rng, sampler
 from chshlab.fileio import run_result_to_dict
-from chshlab.quantum import DensityMatrix
+from chshlab.quantum import DensityMatrix, _born_cells, pauli_correlations
 from chshlab.sampler import _CHUNK
 
-from helpers import random_density, random_scenario
+from helpers import random_density, random_pure_density, random_scenario
 
 
 def optimal_scenario(state):
@@ -34,6 +34,15 @@ def optimal_scenario(state):
         observable_from_bloch((inv, 0, -inv), "b2"),
         state=state,
     )
+
+
+def inverse_cdf_counts(rho, a, b, shots, seed):
+    """Reference: place every uniform of the stream by the pair's CDF."""
+    probs = np.maximum(joint_distribution(rho, a, b).as_array(), 0.0)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    cells = np.searchsorted(cdf, rng.uniforms(seed, shots), side="right")
+    return PairCounts(*(int(n) for n in np.bincount(cells, minlength=4)))
 
 
 class TestSamplePair:
@@ -80,13 +89,6 @@ class TestSamplePair:
         # the threshold counts must equal the inverse-CDF lookup of each uniform,
         # bit for bit, within one block and across block boundaries, whatever
         # the block size
-        def reference(rho, a, b, shots, seed):
-            probs = np.maximum(joint_distribution(rho, a, b).as_array(), 0.0)
-            cdf = np.cumsum(probs)
-            cdf /= cdf[-1]
-            cells = np.searchsorted(cdf, rng.uniforms(seed, shots), side="right")
-            return PairCounts(*(int(n) for n in np.bincount(cells, minlength=4)))
-
         monkeypatch.setattr(sampler, "_CHUNK", chunk)
         rng_np = np.random.default_rng(75)
         sz = observable_from_bloch((0, 0, 1))
@@ -99,7 +101,7 @@ class TestSamplePair:
             a = observable_from_bloch(v / np.linalg.norm(v))
             seed = rng.child_seed(76, k)
             for state, obs_a in ((rho, a), (phi, sz), (up_up, sz)):
-                want = reference(state, obs_a, sz, shots, seed)
+                want = inverse_cdf_counts(state, obs_a, sz, shots, seed)
                 assert sample_pair(state, obs_a, sz, shots, seed) == want
             assert want == PairCounts(shots, 0, 0, 0)
 
@@ -282,3 +284,74 @@ class TestRunExperiment:
         r = run_experiment(RunConfig(sc, shots_per_pair=300, seed=321))
         first = sample_pair(sc.state, sc.a1, sc.b1, 300, rng.child_seed(321, 0))
         assert r.counts[0] == first
+
+
+class TestStackedRun:
+    """`run_experiment` builds one Born table for its four pairs and counts
+    them through the same core as `sample_pair`."""
+
+    @staticmethod
+    def pairs(sc):
+        return ((sc.a1, sc.b1), (sc.a1, sc.b2), (sc.a2, sc.b1), (sc.a2, sc.b2))
+
+    @pytest.mark.parametrize("chunk", [1, 7, _CHUNK], ids=["1", "7", "default"])
+    def test_run_equals_per_pair_loop(self, chunk, monkeypatch):
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        rng_np = np.random.default_rng(77)
+        sz = observable_from_bloch((0, 0, 1))
+        sx = observable_from_bloch((1, 0, 0))
+        shot_counts = sorted({1, 7, chunk - 1, chunk, chunk + 1, 3 * chunk + 5} - {0})
+        for k, shots in enumerate(shot_counts):
+            scenarios = [
+                random_scenario(rng_np, state=random_density(rng_np)),
+                random_scenario(rng_np, state=DensityMatrix(random_pure_density(rng_np, 4))),
+                Scenario(sz, sx, sz, sx, state=bell_state("phi_plus")),  # zero cells
+            ]
+            for j, sc in enumerate(scenarios):
+                seed = rng.child_seed(78, 3 * k + j)
+                r = run_experiment(RunConfig(sc, shots_per_pair=shots, seed=seed))
+                loop = [sample_pair(sc.state, a, b, shots, rng.child_seed(seed, i))
+                        for i, (a, b) in enumerate(self.pairs(sc))]
+                assert r.counts == loop
+
+    def test_stacked_table_equals_joint_distribution(self):
+        rng_np = np.random.default_rng(79)
+        for _ in range(200):
+            sc = random_scenario(rng_np, state=random_density(rng_np))
+            a_stack = np.array([a.pauli for a, _ in self.pairs(sc)])
+            b_stack = np.array([b.pauli for _, b in self.pairs(sc)])
+            table = _born_cells(pauli_correlations(sc.state), a_stack, b_stack)
+            want = np.array([joint_distribution(sc.state, a, b).as_array()
+                             for a, b in self.pairs(sc)])
+            assert table.shape == (4, 4)
+            assert np.array_equal(table, want)
+
+    def test_leading_zero_cell_and_certain_cell(self):
+        # on |0>|+>: pair (-sz, sz) has cells (0, 0, 1/2, 1/2), limits (0, 0, 2**52);
+        # (-sz, sx) has (0, 0, 1, 0), limits (0, 0, 2**53); (sz, sz) has
+        # (1/2, 1/2, 0, 0); (sz, sx) has (1, 0, 0, 0), every limit 2**53
+        sz, sx = observable_from_bloch((0, 0, 1)), observable_from_bloch((1, 0, 0))
+        minus_z = observable_from_bloch((0, 0, -1))
+        state = pure_state(np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2.0))
+        sc = Scenario(minus_z, sz, sz, sx, state=state)
+        for shots in (1, 7, 2 * _CHUNK + 3):
+            r = run_experiment(RunConfig(sc, shots_per_pair=shots, seed=80))
+            first, _, third, _ = r.counts
+            assert first.pp == first.pm == 0 and first.total == shots
+            assert r.counts[1] == PairCounts(0, 0, shots, 0)
+            assert third.mp == third.mm == 0 and third.total == shots
+            assert r.counts[3] == PairCounts(shots, 0, 0, 0)
+            for i, (a, b) in enumerate(self.pairs(sc)):
+                assert r.counts[i] == inverse_cdf_counts(state, a, b, shots, rng.child_seed(80, i))
+
+    @pytest.mark.parametrize("setting", ["a1", "a2", "b1", "b2"])
+    def test_every_pair_passes_the_distribution_checks(self, setting):
+        # a Pauli vector forced past the Observable checks puts a cell at -1/2
+        # in both pairs that use it; each setting covers a different two pairs
+        sz = observable_from_bloch((0, 0, 1))
+        bad = observable_from_bloch((0, 0, 1))
+        object.__setattr__(bad, "pauli", np.array([0.0, 0.0, 0.0, 3.0]))
+        settings = dict.fromkeys(("a1", "a2", "b1", "b2"), sz) | {setting: bad}
+        sc = Scenario(**settings, state=bell_state("psi_minus"))
+        with pytest.raises(ValueError, match="out of range"):
+            run_experiment(RunConfig(sc, shots_per_pair=10, seed=1))
