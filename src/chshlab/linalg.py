@@ -7,14 +7,13 @@ tests every member of an array that has already been through either.
 coerces once, rejects a stack with any non-Hermitian member and hands the
 symmetrized stack to LAPACK's Hermitian solver in one `np.linalg.eigh` call.
 `operator_norm` takes a stack the same way, so N norms cost one check, one
-symmetrization and one solve.  `commutator` and `frobenius` complete the
-set; products, adjoints and Kronecker products are plain numpy (`@`,
-`.conj().T`, `np.kron`).
+symmetrization and one solve.  `commutator` completes the set; products,
+adjoints and Kronecker products are plain numpy (`@`, `.conj().T`,
+`np.kron`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def frobenius(m) -> float:
-    """||m||_F; `math.hypot` scales internally, so no square overflows."""
-    return math.hypot(*np.abs(np.asarray(m)).ravel().tolist())
-
-
 def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-2, -1)
 
@@ -55,8 +49,8 @@ def is_hermitian(a: np.ndarray) -> np.ndarray:
     stack `a` (the output of `as_matrix` or `as_stack`; not coerced again
     here), as a bool array of shape a.shape[:-2].
 
-    The norms reduce |entries| with `np.hypot`, which scales each step the
-    way `frobenius` does, so no square overflows.
+    The norms reduce |entries| with `np.hypot`, which scales each step, so
+    no square overflows.
     """
     skew, size = (np.hypot.reduce(np.abs(x), axis=(-2, -1)) for x in (a - _adjoint(a), a))
     return skew <= HERMITIAN_RTOL * np.maximum(1.0, size)

@@ -220,12 +220,13 @@ class JointDistribution:
     p_mm: float
 
     def __post_init__(self):
-        probs = self.as_array()
-        if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
-            raise ValueError(f"probabilities out of range: {probs.tolist()}")
-        total = float(np.sum(probs))
+        p0, p1, p2, p3 = cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
+        lo, hi = -1e-12, 1.0 + 1e-12
+        if not (lo <= p0 <= hi and lo <= p1 <= hi and lo <= p2 <= hi and lo <= p3 <= hi):
+            raise ValueError(f"probabilities out of range: {[float(x) for x in cells]}")  # NaN too
+        total = 0.0 + p0 + p1 + p2 + p3  # np.sum's order: from +0.0, left to right
         if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(total)!r}")
 
     def as_array(self) -> np.ndarray:
         """Cell order (+,+), (+,-), (-,+), (-,-); fixed across the package."""

@@ -26,7 +26,9 @@ R = `quantum.pauli_correlations`, where S = a1^T T (b1 + b2) + a2^T T (b1 - b2):
 Maximizers form continuous families, most visibly on degenerate spectra (the
 singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
 pick one canonical representative that does not depend on any LAPACK build.
-A sweep is one stacked pass behind `bloch_settings`' unit check plus one
+A sweep is one stacked pass over Pauli vectors (0, sin t, 0, cos t) built
+directly from the angles (`_planar_pauli`; sin^2 + cos^2 is within a few ulp
+of 1, so `bloch_settings`' unit check could never fail on them) plus one
 stacked eigensolve (`linalg.operator_norm` over every row's C);
 `optimize_settings` takes its S as 2 <M, R> from the maximizing settings'
 Pauli vectors and the R it already holds, without building a `Scenario`.
@@ -41,10 +43,9 @@ import numpy as np
 
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
 from .linalg import operator_norm
-from .quantum import DensityMatrix, bloch_settings, observable_from_bloch, pauli_correlations
+from .quantum import DensityMatrix, observable_from_bloch, pauli_correlations
 
 _TWO_PI = 2.0 * np.pi
-_XZ = (1, 3)  # Pauli indices of the x-z plane
 
 
 @dataclass
@@ -109,15 +110,16 @@ class OptimizeResult:
     cycles: int
 
 
-def _planar_bloch(angles) -> np.ndarray:
-    """Bloch vectors (sin t, 0, cos t) of x-z angles t, stacked on a new last axis."""
+def _planar_pauli(angles) -> np.ndarray:
+    """Pauli vectors (0, sin t, 0, cos t) of x-z angles t, stacked on a new last axis."""
     t = np.asarray(angles)
-    return np.stack((np.sin(t), np.zeros_like(t), np.cos(t)), axis=-1)
+    zero = np.zeros_like(t)
+    return np.stack((zero, np.sin(t), zero, np.cos(t)), axis=-1)
 
 
 def _xz_block(r: np.ndarray) -> list[list[float]]:
-    """[[T_xx, T_xz], [T_zx, T_zz]] of R = `pauli_correlations`."""
-    return r[np.ix_(_XZ, _XZ)].tolist()
+    """[[T_xx, T_xz], [T_zx, T_zz]] of R = `pauli_correlations` (Pauli indices 1, 3)."""
+    return r[1::2, 1::2].tolist()
 
 
 def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult:
@@ -141,7 +143,7 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     ps = PlanarSettings(alpha, alpha + quarter, gamma + theta, gamma - theta)
     return OptimizeResult(
         settings=ps,
-        s_value=_s_at(chsh_coefficients(bloch_settings(_planar_bloch(ps.as_tuple()))), corr),
+        s_value=_s_at(chsh_coefficients(_planar_pauli(ps.as_tuple())), corr),
         converged=True,
         cycles=0,
     )
@@ -158,9 +160,10 @@ def _row_settings(phi: float, t: list[list[float]]) -> PlanarSettings:
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     ux, uz = t21, t22
     vx, vz = sin_phi * t11 + cos_phi * t21, sin_phi * t12 + cos_phi * t22
-    # max keeps the first of equal hypots, so ties go to +pi/2
-    sign, a, b = max(((s, uz + s * vx, ux - s * vz) for s in (1.0, -1.0)),
-                     key=lambda c: math.hypot(c[1], c[2]))
+    a, b = uz + vx, ux - vz
+    sign = 1.0
+    if math.hypot(uz - vx, ux + vz) > math.hypot(a, b):  # ties go to +pi/2
+        sign, a, b = -1.0, uz - vx, ux + vz
     g = math.atan2(b, a)
     return PlanarSettings(0.0, phi, g + sign * 0.25 * math.pi, g - sign * 0.25 * math.pi)
 
@@ -183,7 +186,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     t = _xz_block(corr)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()
     settings = [_row_settings(phi, t) for phi in phis]
-    p = _chsh_pass(bloch_settings(_planar_bloch([ps.as_tuple() for ps in settings])))
+    p = _chsh_pass(_planar_pauli([ps.as_tuple() for ps in settings]))
     # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does
     s_values = 2.0 * (p.coefficients.reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
     max_s = 2.0 * operator_norm(p.operator)  # one stacked eigensolve for every row

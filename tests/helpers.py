@@ -1,8 +1,15 @@
 """Shared generators and independent oracle routines for the test suite."""
 
+import math
+
 import numpy as np
 
 from chshlab import DensityMatrix, Observable, Scenario, observable_from_bloch
+
+
+def frobenius(m) -> float:
+    """||m||_F; `math.hypot` scales internally, so no square overflows."""
+    return math.hypot(*np.abs(np.asarray(m)).ravel().tolist())
 
 
 def random_hermitian(rng, dim):

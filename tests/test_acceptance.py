@@ -32,9 +32,9 @@ from chshlab import rng
 from chshlab.chsh import random_scenario
 from chshlab.cli import main
 from chshlab.fileio import run_result_to_dict
-from chshlab.linalg import frobenius, hermitian_eigen
+from chshlab.linalg import hermitian_eigen
 
-from helpers import random_density, random_observable, random_unitary
+from helpers import frobenius, random_density, random_observable, random_unitary
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 

@@ -26,12 +26,11 @@ from chshlab import (
 )
 from chshlab import chsh, rng
 from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_scenario
-from chshlab.linalg import frobenius
 from chshlab.quantum import SIGMA_X, SIGMA_Z
 
-from helpers import (kron_chsh_operator, kron_identity_target, kron_max_s_over_settings,
-                     random_density, random_observable, random_pure_density,
-                     random_qubit_density)
+from helpers import (frobenius, kron_chsh_operator, kron_identity_target,
+                     kron_max_s_over_settings, random_density, random_observable,
+                     random_pure_density, random_qubit_density)
 from helpers import random_scenario as np_random_scenario
 
 TSIRELSON = 2.0 * np.sqrt(2.0)

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshlab import (
     RunConfig,
@@ -259,3 +261,93 @@ class TestRoundTrips:
         assert text.split("\n")[0] == "phi,comm_a_norm,comm_b_norm,max_s,s_singlet"
         assert text.endswith("\n")
         assert "," in text and ";" not in text
+
+
+# JSON trees as documents may hold them: leaves of every type `dumps` writes,
+# with the extreme floats and ints named explicitly, under dicts with str keys,
+# lists and tuples, empty ones included
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308))
+strings = st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.text(
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))  # lone surrogates
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from((2**63, -(2**64), 10**300, -(10**300)))
+    | finite_floats
+    | finite_floats.map(np.float64)
+    | strings
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def buried(leaf):
+    """Trees holding `leaf` once, among valid siblings, at a drawn depth."""
+    return st.recursive(
+        st.just(leaf),
+        lambda inner: st.builds(lambda before, x, after: [*before, x, *after],
+                                st.lists(json_leaves, max_size=2), inner,
+                                st.lists(json_leaves, max_size=2))
+        | st.builds(lambda d, key, x: {**d, key: x},
+                    st.dictionaries(strings, json_leaves, max_size=2), strings, inner),
+        max_leaves=6,
+    )
+
+
+ENCODER_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+BAD_LEAVES = [(float("nan"), ValueError), (float("inf"), ValueError), (float("-inf"), ValueError),
+              (np.float64("nan"), ValueError), (np.float64("-inf"), ValueError),
+              (object(), TypeError), (np.int64(3), TypeError), (np.bool_(True), TypeError),
+              ({1, 2}, TypeError), (b"x", TypeError)]
+
+
+class TestDumps:
+    """`dumps` writes exactly what `json.dumps(doc, indent=2, allow_nan=False)`
+    writes, plus a newline, and fails where it fails."""
+
+    @ENCODER_SETTINGS
+    @given(json_trees)
+    def test_matches_json_dumps(self, doc):
+        assert fileio.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @ENCODER_SETTINGS
+    @given(st.sampled_from(BAD_LEAVES).flatmap(
+        lambda bad: st.tuples(buried(bad[0]), st.just(bad[1]))))
+    def test_bad_leaf_at_any_depth_fails_as_json_does(self, case):
+        # NaN and +-inf are ValueErrors, types json cannot write TypeErrors,
+        # with json's messages
+        doc, error = case
+        with pytest.raises(error) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(error) as got:
+            fileio.dumps(doc)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)], ids=repr)
+    def test_non_str_key_is_type_error(self, key):
+        # json would write the scalar keys as strings; documents only have str keys
+        with pytest.raises(TypeError):
+            fileio.dumps({"ok": {key: 0.0}})
+
+    def test_subclasses_take_their_base_form(self):
+        class Label(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        class Value(float):
+            def __repr__(self):
+                return "Value()"
+
+        doc = {Label("k"): [Label("v"), Count(7), Value(0.1), np.float64(1 / 3), True, False]}
+        assert fileio.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert '"k": [\n    "v",\n    7,\n    0.1,\n    0.3333333333333333,' in fileio.dumps(doc)

