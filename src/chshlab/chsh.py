@@ -67,7 +67,7 @@ class Scenario:
 
     The realized full-space operators are a_i x I and I x b_j, so the two
     parties' observables commute across sides identically; only the setting
-    types and the state dimension need checking.
+    and state types need checking (every `DensityMatrix` is two-qubit).
     """
 
     a1: Observable
@@ -81,8 +81,8 @@ class Scenario:
             obs = getattr(self, name)
             if not isinstance(obs, Observable):
                 raise ValueError(f"{name}: expected an Observable")
-        if self.state is not None and self.state.dim != 4:
-            raise ValueError(f"scenario state must have dim 4, got {self.state.dim}")
+        if self.state is not None and not isinstance(self.state, DensityMatrix):
+            raise ValueError("state: expected a DensityMatrix or None")
 
     def observables(self) -> tuple[Observable, Observable, Observable, Observable]:
         return self.a1, self.a2, self.b1, self.b2

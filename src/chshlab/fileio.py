@@ -17,9 +17,9 @@ plus a newline, but not through `json`: with `indent`, `json` falls back to
 its pure-Python encoder, which took about a third of a 19-step `sweep`
 command.  `dumps` looks up each leaf's exact type in one table (strings
 escape in C, floats and ints write their `repr`) and joins containers by
-hand.  A subclass of str, int or float (`np.float64`) takes its base's
-entry, as in `json`; NaN and +-inf raise ValueError and any other type,
-including a non-str key, raises TypeError.
+hand.  Every leaf of a document is an exact str, int, float, bool or None;
+NaN and +-inf raise ValueError and any other type, subclasses of those five
+(`np.float64`) and non-str keys included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .quantum import (
     observable_from_bloch,
 )
 from .sampler import PAIR_LABELS, RunResult
-from .sweep import SweepResult, SweepRow
+from .sweep import SweepResult, SweepRow, _planar_pauli
 
 STATE_NAMES = BELL_STATE_NAMES + ("maximally_mixed",)
 SWEEP_CSV_COLUMNS = ("phi", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet")
@@ -83,7 +83,7 @@ def observable_from_spec(spec, name: str) -> Observable:
         t = _number(spec["angle"], f"{name}.angle")
         if not np.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
-        return observable_from_bloch(np.array((np.sin(t), 0.0, np.cos(t))), label=name)
+        return Observable(_planar_pauli(t), label=name)
     raise FormatError(f"{name}: expected a 'bloch' or 'angle' field")
 
 
@@ -92,7 +92,7 @@ def state_from_spec(spec) -> DensityMatrix | None:
         return None
     if isinstance(spec, str):
         if spec == "maximally_mixed":
-            return maximally_mixed(4)
+            return maximally_mixed()
         if spec in BELL_STATE_NAMES:
             return bell_state(spec)
         raise ValueError(
@@ -231,9 +231,6 @@ def _write(x, pad: str) -> str:
             return "[]"
         inner = pad + "  "
         return "[" + inner + ("," + inner).join([_write(v, inner) for v in x]) + pad + "]"
-    for base in (str, int, float):  # subclasses, in json's order; bool cannot be subclassed
-        if isinstance(x, base):
-            return _LEAVES[base](x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 

@@ -14,7 +14,7 @@ adjoints and Kronecker products are plain numpy (`@`, `.conj().T`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +65,9 @@ def commutator(x, y) -> np.ndarray:
     return x @ y - y @ x
 
 
-@dataclass(eq=False)
-class EigenDecomposition:
-    """Eigenvalues in descending order; eigenvectors as matching columns
-    (per matrix, for a stack)."""
+class EigenDecomposition(NamedTuple):
+    """The pair (eigenvalues, eigenvectors): eigenvalues in descending order,
+    eigenvectors as matching columns (per matrix, for a stack)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

@@ -4,8 +4,8 @@ An observable with outcomes +1/-1 is held as its real Pauli 4-vector c,
 M = sum_mu c_mu sigma_mu with mu over I, x, y, z: +/-I (c = (+/-1, 0, 0, 0))
 or n . sigma for a unit Bloch vector n (c = (0, n)).  A real c always gives a
 Hermitian M, so the only check is M^2 = I, in closed form on c.  States are
-density matrices throughout; pure states enter as rank-1 projectors, so a
-single code path covers every quantum state.
+two-qubit (4x4) density matrices throughout; pure states enter as rank-1
+projectors, so a single code path covers every quantum state.
 
 Every two-party statistic is one bilinear form in Pauli coordinates (Fano,
 Rev. Mod. Phys. 55, 855 (1983)): an observable enters as its `pauli` vector
@@ -132,7 +132,7 @@ def bloch_of(obs: Observable) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Positive semidefinite, unit-trace operator (dim 2 or 4), held as a
+    """A two-qubit state: positive semidefinite, unit trace, 4x4, held as a
     read-only complex128 copy (`matrix`): later writes to the caller's array
     do not reach a validated state, and the state's own array rejects them."""
 
@@ -140,8 +140,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
-        if m.shape[0] not in (2, 4):
-            raise ValueError(f"density matrix must have dim 2 or 4, got {m.shape[0]}")
+        if m.shape[0] != 4:
+            raise ValueError(f"density matrix must have dim 4, got {m.shape[0]}")
         if not linalg.is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
@@ -152,10 +152,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)  # frozen, so no later rebinding skips the checks
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def pure_state(vector) -> DensityMatrix:
@@ -194,25 +190,16 @@ def _bell_state(name: str) -> DensityMatrix:
     return pure_state(_BELL_VECTORS[name])
 
 
-def maximally_mixed(dim: int = 4) -> DensityMatrix:
-    """I/dim, built once per int dim and shared like `bell_state`'s states.
-
-    A bad dim raises from the build, so no failure is cached; a dim of any
-    other type is built afresh, so that 4.0 or True still raise as np.eye does.
-    """
-    if type(dim) is not int:
-        return _maximally_mixed.__wrapped__(dim)
-    return _maximally_mixed(dim)
-
-
 @functools.cache
-def _maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
+def maximally_mixed() -> DensityMatrix:
+    """I/4, built once and shared like `bell_state`'s states."""
+    return DensityMatrix(np.eye(4, dtype=np.complex128) / 4)
 
 
 @dataclass
 class JointDistribution:
-    """Outcome probabilities p(alpha, beta) for one setting pair."""
+    """Outcome probabilities p(alpha, beta) for one setting pair, in the cell
+    order (+,+), (+,-), (-,+), (-,-) used across the package."""
 
     p_pp: float
     p_pm: float
@@ -228,19 +215,9 @@ class JointDistribution:
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities must sum to 1, got {float(total)!r}")
 
-    def as_array(self) -> np.ndarray:
-        """Cell order (+,+), (+,-), (-,+), (-,-); fixed across the package."""
-        return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm], dtype=float)
-
-    def expectation(self) -> float:
-        """Signed sum p(+,+) - p(+,-) - p(-,+) + p(-,-)."""
-        return self.p_pp - self.p_pm - self.p_mp + self.p_mm
-
 
 def pauli_correlations(rho: DensityMatrix) -> np.ndarray:
     """Real 4x4 R_mu,nu = tr(rho (sigma_mu x sigma_nu)) of a two-party state."""
-    if rho.dim != 4:
-        raise ValueError(f"two-party state must have dim 4, got {rho.dim}")
     return np.einsum("ij,mnji->mn", rho.matrix, PAULI_PRODUCTS).real
 
 

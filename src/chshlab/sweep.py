@@ -43,7 +43,7 @@ import numpy as np
 
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
 from .linalg import operator_norm
-from .quantum import DensityMatrix, observable_from_bloch, pauli_correlations
+from .quantum import DensityMatrix, Observable, pauli_correlations
 
 _TWO_PI = 2.0 * np.pi
 
@@ -70,11 +70,9 @@ class PlanarSettings:
 
 
 def settings_to_scenario(ps: PlanarSettings, state: DensityMatrix | None = None) -> Scenario:
-    """Realize planar angles as Bloch observables (sin t, 0, cos t)."""
-    obs = [
-        observable_from_bloch((np.sin(t), 0.0, np.cos(t)), label=lbl)
-        for t, lbl in zip(ps.as_tuple(), ("a1", "a2", "b1", "b2"))
-    ]
+    """Realize planar angles as observables with Pauli vectors (0, sin t, 0, cos t)."""
+    obs = [Observable(c, label=lbl)
+           for c, lbl in zip(_planar_pauli(ps.as_tuple()), ("a1", "a2", "b1", "b2"))]
     return Scenario(*obs, state=state)
 
 

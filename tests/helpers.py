@@ -12,6 +12,16 @@ def frobenius(m) -> float:
     return math.hypot(*np.abs(np.asarray(m)).ravel().tolist())
 
 
+def as_array(d) -> np.ndarray:
+    """The cells of a `JointDistribution`, in the order (+,+), (+,-), (-,+), (-,-)."""
+    return np.array([d.p_pp, d.p_pm, d.p_mp, d.p_mm], dtype=float)
+
+
+def expectation(d) -> float:
+    """Signed sum p(+,+) - p(+,-) - p(-,+) + p(-,-) of a `JointDistribution`."""
+    return d.p_pp - d.p_pm - d.p_mp + d.p_mm
+
+
 def random_hermitian(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2.0

@@ -241,7 +241,7 @@ class TestSValue:
             assert abs(s_value(sc) - direct) < 1e-10
 
     def test_maximally_mixed_gives_zero(self):
-        sc = optimal_scenario(state=maximally_mixed(4))
+        sc = optimal_scenario(state=maximally_mixed())
         assert abs(s_value(sc)) < 1e-12
 
     def test_product_states_respect_classical_bound(self):
@@ -286,7 +286,7 @@ class TestMaxSOverSettings:
         assert abs(max_s_over_settings(bell_state(name)) - TSIRELSON) < 1e-12
 
     def test_maximally_mixed_gives_zero(self):
-        assert max_s_over_settings(maximally_mixed(4)) == 0.0
+        assert max_s_over_settings(maximally_mixed()) == 0.0
 
     def test_bounds_the_planar_optimum(self):
         rng = np.random.default_rng(60)
@@ -355,6 +355,14 @@ class TestScenarioValidation:
                 random_observable(rng, "b2"),
                 state=DensityMatrix(np.eye(2, dtype=complex) / 2.0),
             )
+
+    @pytest.mark.parametrize("state", [np.eye(4) / 4, "psi_minus"], ids=["array", "name"])
+    def test_state_type_checked(self, state):
+        # a bare matrix or a state's name is not a DensityMatrix
+        rng = np.random.default_rng(63)
+        settings = [random_observable(rng, name) for name in ("a1", "a2", "b1", "b2")]
+        with pytest.raises(ValueError, match="state: expected a DensityMatrix or None"):
+            Scenario(*settings, state=state)
 
     def test_observable_type_checked(self):
         rng = np.random.default_rng(62)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from chshlab import __version__
+from chshlab import __version__, fileio
 from chshlab.cli import main
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -216,6 +216,46 @@ class TestSweep:
         assert capsys.readouterr().out.startswith("phi,")
         assert main(["sweep", "--phi-steps", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["command"] == "sweep"
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        for key, value in x.items():
+            assert type(key) is str
+            yield from _leaves(value)
+    elif isinstance(x, (list, tuple)):
+        for value in x:
+            yield from _leaves(value)
+    else:
+        yield x
+
+
+WERNER = [[0.05, 0, 0, 0], [0, 0.45, -0.4, 0], [0, -0.4, 0.45, 0], [0, 0, 0, 0.05]]
+
+
+class TestDocumentLeaves:
+    """Every leaf of every document the CLI writes has one of the five exact
+    types `fileio.dumps` accepts, which write as `json.dumps` writes them."""
+
+    @pytest.mark.parametrize("state", [
+        "psi_minus", "maximally_mixed", {"matrix": [[[x, 0.0] for x in row] for row in WERNER]}, None,
+    ], ids=["bell", "maximally_mixed", "matrix", "null"])
+    def test_every_leaf_has_an_exact_json_type(self, tmp_path, monkeypatch, capsys, state):
+        docs = []
+        dumps = fileio.dumps
+        monkeypatch.setattr(fileio, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+        scen = str(write_scenario(tmp_path / "s.json", state=state))
+        runs = [["analyze", scen]]
+        if state is not None:
+            runs.append(["simulate", scen, "--shots", "300", "--seed", "5"])
+        if isinstance(state, str):
+            runs.append(["sweep", "--phi-steps", "5", "--state", state])
+        for argv in runs:
+            assert main(argv) == 0, argv
+        assert [doc["command"] for doc in docs] == [argv[0] for argv in runs]
+        for doc in docs:
+            kinds = {type(leaf) for leaf in _leaves(doc)}
+            assert kinds <= {str, int, float, bool, type(None)}, (doc["command"], kinds)
 
 
 class TestLhv:

@@ -263,8 +263,8 @@ class TestRoundTrips:
         assert "," in text and ";" not in text
 
 
-# JSON trees as documents may hold them: leaves of every type `dumps` writes,
-# with the extreme floats and ints named explicitly, under dicts with str keys,
+# JSON trees as documents may hold them: leaves of the five exact types `dumps`
+# writes, with the extreme floats and ints named explicitly, under dicts with str keys,
 # lists and tuples, empty ones included
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308))
@@ -276,7 +276,6 @@ json_leaves = (
     | st.integers()
     | st.sampled_from((2**63, -(2**64), 10**300, -(10**300)))
     | finite_floats
-    | finite_floats.map(np.float64)
     | strings
 )
 json_trees = st.recursive(
@@ -303,7 +302,6 @@ def buried(leaf):
 
 ENCODER_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 BAD_LEAVES = [(float("nan"), ValueError), (float("inf"), ValueError), (float("-inf"), ValueError),
-              (np.float64("nan"), ValueError), (np.float64("-inf"), ValueError),
               (object(), TypeError), (np.int64(3), TypeError), (np.bool_(True), TypeError),
               ({1, 2}, TypeError), (b"x", TypeError)]
 
@@ -336,18 +334,18 @@ class TestDumps:
         with pytest.raises(TypeError):
             fileio.dumps({"ok": {key: 0.0}})
 
-    def test_subclasses_take_their_base_form(self):
+    def test_subclass_leaves_are_type_errors(self):
+        # json writes these as their base; no document holds one, so `dumps`
+        # rejects them like any other type outside its five
         class Label(str):
             pass
 
         class Count(int):
-            def __repr__(self):
-                return "Count()"
+            pass
 
         class Value(float):
-            def __repr__(self):
-                return "Value()"
+            pass
 
-        doc = {Label("k"): [Label("v"), Count(7), Value(0.1), np.float64(1 / 3), True, False]}
-        assert fileio.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        assert '"k": [\n    "v",\n    7,\n    0.1,\n    0.3333333333333333,' in fileio.dumps(doc)
+        for leaf in (Label("v"), Count(7), Value(0.1), np.float64(1 / 3), np.float64("nan")):
+            with pytest.raises(TypeError, match=f"Object of type {type(leaf).__name__} is not"):
+                fileio.dumps({"ok": [True, {"leaf": leaf}]})

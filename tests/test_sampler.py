@@ -22,7 +22,7 @@ from chshlab.fileio import run_result_to_dict
 from chshlab.quantum import DensityMatrix, _born_cells, pauli_correlations
 from chshlab.sampler import _CHUNK
 
-from helpers import random_density, random_pure_density, random_scenario
+from helpers import as_array, random_density, random_pure_density, random_scenario
 
 
 def optimal_scenario(state):
@@ -38,7 +38,7 @@ def optimal_scenario(state):
 
 def inverse_cdf_counts(rho, a, b, shots, seed):
     """Reference: place every uniform of the stream by the pair's CDF."""
-    probs = np.maximum(joint_distribution(rho, a, b).as_array(), 0.0)
+    probs = np.maximum(as_array(joint_distribution(rho, a, b)), 0.0)
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     cells = np.searchsorted(cdf, rng.uniforms(seed, shots), side="right")
@@ -79,7 +79,7 @@ class TestSamplePair:
         rho = random_density(rng_np)
         a = observable_from_bloch((1, 0, 0))
         b = observable_from_bloch((0, 0, 1))
-        want = joint_distribution(rho, a, b).as_array()
+        want = as_array(joint_distribution(rho, a, b))
         c = sample_pair(rho, a, b, 200000, 1729)
         got = np.array([c.pp, c.pm, c.mp, c.mm]) / 200000.0
         assert np.max(np.abs(got - want)) < 0.01
@@ -170,7 +170,7 @@ class TestRunExperiment:
         assert hits >= 29
 
     def test_maximally_mixed_hovers_near_zero(self):
-        sc = optimal_scenario(maximally_mixed(4))
+        sc = optimal_scenario(maximally_mixed())
         r = run_experiment(RunConfig(sc, shots_per_pair=100000, seed=5))
         assert abs(r.s_hat) <= 5.0 * r.s_stderr
 
@@ -321,7 +321,7 @@ class TestStackedRun:
             a_stack = np.array([a.pauli for a, _ in self.pairs(sc)])
             b_stack = np.array([b.pauli for _, b in self.pairs(sc)])
             table = _born_cells(pauli_correlations(sc.state), a_stack, b_stack)
-            want = np.array([joint_distribution(sc.state, a, b).as_array()
+            want = np.array([as_array(joint_distribution(sc.state, a, b))
                              for a, b in self.pairs(sc)])
             assert table.shape == (4, 4)
             assert np.array_equal(table, want)

@@ -190,7 +190,7 @@ class TestIncompatibilitySweep:
         elif name == "random_pure":
             rho = DensityMatrix(random_pure_density(rng, 4))
         elif name == "maximally_mixed":
-            rho = maximally_mixed(4)
+            rho = maximally_mixed()
         else:
             rho = bell_state(name)
         result = incompatibility_sweep(steps, rho)
@@ -203,7 +203,7 @@ class TestIncompatibilitySweep:
 
     def test_sign_ties_go_to_plus(self):
         # at I/4 both signs' hypots are 0: beta1 - beta2 = +pi/2 and g = atan2(0, 0) = 0
-        for row in incompatibility_sweep(7, maximally_mixed(4)).rows:
+        for row in incompatibility_sweep(7, maximally_mixed()).rows:
             want = PlanarSettings(0.0, row.phi, 0.25 * math.pi, -0.25 * math.pi)
             assert row.settings.as_tuple() == want.as_tuple()
 
@@ -246,7 +246,7 @@ class TestOptimizeSettings:
         assert res.s_value <= 2.0 + 1e-6
 
     def test_maximally_mixed_is_flat_zero(self):
-        res = optimize_settings(maximally_mixed(4), restarts=2)
+        res = optimize_settings(maximally_mixed(), restarts=2)
         assert abs(res.s_value) < 1e-9
 
     def test_never_exceeds_ceiling_of_returned_settings(self):
