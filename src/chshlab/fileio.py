@@ -4,22 +4,27 @@ Scenario files are JSON with explicit field names: one object per setting
 (`{"bloch": [x, y, z]}` or `{"angle": t}`) plus an optional `state` that is
 either a named state, an explicit 4x4 density matrix as row-major
 `[re, im]` pairs, or null.  Every number in a scenario must be a JSON
-number; strings and booleans are format errors.  Report files are written,
-never read back here: they wrap the typed payload together with the tool
-version and an echo of the inputs.  Payloads are built from each result's
-fields with `vars`, a shallow copy: the fields are already plain floats,
-ints, strings and lists, so a deep copy (`dataclasses.asdict`) would only
-copy them again.  Floats serialize through `repr`, so `json.loads` (or `csv`
-for the sweep table) recovers every double exactly.
+number; strings and booleans are format errors.  Each number is checked
+once, here, and goes on as a plain float: a Bloch vector as a tuple of three
+to `observable_from_bloch`, a matrix as its 32 parts in one
+`np.array(...).view(complex128)`.  Messages are formatted only on failure.
+Report files are written, never read back here: they wrap the typed payload
+together with the tool version and an echo of the inputs.  Payloads are
+built from each result's fields with `vars`, a shallow copy: the fields are
+already plain floats, ints, strings and lists, so a deep copy
+(`dataclasses.asdict`) would only copy them again.  Floats serialize through
+`repr`, so `json.loads` (or `csv` for the sweep table) recovers every double
+exactly.
 
 `dumps` writes the bytes of `json.dumps(doc, indent=2, allow_nan=False)`
 plus a newline, but not through `json`: with `indent`, `json` falls back to
 its pure-Python encoder, which took about a third of a 19-step `sweep`
 command.  `dumps` looks up each leaf's exact type in one table (strings
 escape in C, floats and ints write their `repr`) and joins containers by
-hand.  Every leaf of a document is an exact str, int, float, bool or None;
-NaN and +-inf raise ValueError and any other type, subclasses of those five
-(`np.float64`) and non-str keys included, raises TypeError.
+hand, writing leaves in place and recursing only into nested containers.
+Every leaf of a document is an exact str, int, float, bool or None and every
+key an exact str; NaN and +-inf raise ValueError and any other leaf or key,
+subclasses of those types (`np.float64`) included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -55,33 +60,40 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
-def _number(value, where: str) -> float:
-    """A JSON number as a float.  Strings, booleans and integers beyond the
-    float range are FormatErrors, not numbers."""
+def _number(value) -> float | None:
+    """A JSON number as a float, or None: strings, booleans and integers beyond
+    the float range are not numbers."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
             pass
-    raise FormatError(f"{where}: expected a number")
+    return None
+
+
+def _not_a_number(where: str) -> FormatError:
+    return FormatError(f"{where}: expected a number")
 
 
 def observable_from_spec(spec, name: str) -> Observable:
-    _require(isinstance(spec, dict), f"{name}: expected an object")
+    if not isinstance(spec, dict):
+        raise FormatError(f"{name}: expected an object")
     if "bloch" in spec:
         vec = spec["bloch"]
-        _require(
-            isinstance(vec, (list, tuple)) and len(vec) == 3,
-            f"{name}.bloch: expected three numbers",
-        )
-        n = np.array([_number(c, f"{name}.bloch") for c in vec])  # float64: checked once
+        if not (isinstance(vec, (list, tuple)) and len(vec) == 3):
+            raise FormatError(f"{name}.bloch: expected three numbers")
+        n = tuple(map(_number, vec))  # three floats: checked here, once
+        if None in n:
+            raise _not_a_number(f"{name}.bloch")
         try:
             return observable_from_bloch(n, label=name)
         except ValueError as exc:
             raise ValueError(f"{name}.bloch: {exc}") from None
     if "angle" in spec:
-        t = _number(spec["angle"], f"{name}.angle")
-        if not np.isfinite(t):
+        t = _number(spec["angle"])
+        if t is None:
+            raise _not_a_number(f"{name}.angle")
+        if not math.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
         return Observable(_planar_pauli(t), label=name)
     raise FormatError(f"{name}: expected a 'bloch' or 'angle' field")
@@ -101,18 +113,19 @@ def state_from_spec(spec) -> DensityMatrix | None:
     _require(isinstance(spec, dict) and "matrix" in spec, "state: expected a name or a 'matrix' object")
     rows = spec["matrix"]
     _require(isinstance(rows, list) and len(rows) == 4, "state.matrix: expected 4 rows")
-    entries = np.zeros((4, 4), dtype=np.complex128)
+    parts = []  # re, im, re, im, ... row by row
     for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == 4, f"state.matrix[{i}]: expected 4 entries")
+        if not (isinstance(row, list) and len(row) == 4):
+            raise FormatError(f"state.matrix[{i}]: expected 4 entries")
         for j, cell in enumerate(row):
-            _require(
-                isinstance(cell, (list, tuple)) and len(cell) == 2,
-                f"state.matrix[{i}][{j}]: expected an [re, im] pair",
-            )
-            where = f"state.matrix[{i}][{j}]"
-            entries[i, j] = complex(_number(cell[0], where), _number(cell[1], where))
+            if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
+                raise FormatError(f"state.matrix[{i}][{j}]: expected an [re, im] pair")
+            real, imag = _number(cell[0]), _number(cell[1])
+            if real is None or imag is None:
+                raise _not_a_number(f"state.matrix[{i}][{j}]")
+            parts += (real, imag)
     try:
-        return DensityMatrix(entries)
+        return DensityMatrix(np.array(parts).view(np.complex128).reshape(4, 4))
     except ValueError as exc:
         raise ValueError(f"state.matrix: {exc}") from None
 
@@ -121,7 +134,8 @@ def scenario_from_dict(doc) -> Scenario:
     _require(isinstance(doc, dict), "scenario: expected a JSON object")
     obs = {}
     for name in ("a1", "a2", "b1", "b2"):
-        _require(name in doc, f"scenario: missing field {name!r}")
+        if name not in doc:
+            raise FormatError(f"scenario: missing field {name!r}")
         obs[name] = observable_from_spec(doc[name], name)
     return Scenario(obs["a1"], obs["a2"], obs["b1"], obs["b2"], state=state_from_spec(doc.get("state")))
 
@@ -214,27 +228,37 @@ _LEAVES = {
 }
 
 
+def _unserializable(x) -> TypeError:
+    return TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _write(x, pad: str) -> str:
-    """`x` as `json.dumps(..., indent=2)` writes it at the depth where each
-    line starts with `pad` ("\n" plus two spaces per level)."""
-    leaf = _LEAVES.get(type(x))
-    if leaf is not None:
-        return leaf(x)
+    """The dict, list or tuple `x` as `json.dumps(..., indent=2)` writes it at
+    the depth where each line starts with `pad` ("\n" plus two spaces per
+    level).  Leaves are written in place; only a nested container recurses."""
+    inner = pad + "  "
+    items = []
     if isinstance(x, dict):
         if not x:
             return "{}"
-        inner = pad + "  "
-        items = [_escape(k) + ": " + _write(v, inner) for k, v in x.items()]
+        for k, v in x.items():
+            if type(k) is not str:
+                raise _unserializable(k)
+            leaf = _LEAVES.get(type(v))
+            items.append(_escape(k) + ": " + (_write(v, inner) if leaf is None else leaf(v)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_write(v, inner) for v in x]) + pad + "]"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        for v in x:
+            leaf = _LEAVES.get(type(v))
+            items.append(_write(v, inner) if leaf is None else leaf(v))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise _unserializable(x)
 
 
 def dumps(doc: dict) -> str:
     """The document's text: `json.dumps(doc, indent=2, allow_nan=False)`
     byte for byte, plus a trailing newline."""
-    return _write(doc, "\n") + "\n"
+    leaf = _LEAVES.get(type(doc))
+    return (_write(doc, "\n") if leaf is None else leaf(doc)) + "\n"

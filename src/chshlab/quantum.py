@@ -101,27 +101,47 @@ def _real_array(x, what: str) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _unit_length(norm2):
+    """abs(|n|^2 - 1) <= BLOCH_UNIT_TOL, the unit-length check of Bloch vectors,
+    on one squared norm (a float) or an array of them; NaN fails."""
+    return abs(norm2 - 1.0) <= BLOCH_UNIT_TOL
+
+
+def _not_unit(norm2: float) -> ValueError:
+    return ValueError(f"bloch vectors must have unit length, got |n|^2 = {norm2!r}")
+
+
 def observable_from_bloch(n, label: str = "") -> Observable:
-    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z)."""
-    return Observable(bloch_settings(n), label=label)
+    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z):
+    `bloch_settings` for one n, its unit check in closed form on three floats
+    (x*x + y*y + z*z is np.sum(n * n) bit for bit).  A tuple of exact floats,
+    as `fileio` passes, skips the array round trip of the type check."""
+    if not (type(n) is tuple and len(n) == 3 and all(type(v) is float for v in n)):
+        v = _real_array(n, "bloch vectors")
+        if v.shape != (3,):  # not one vector: the stacked path says what is wrong
+            return Observable(bloch_settings(v), label=label)
+        n = v.tolist()
+    x, y, z = n
+    norm2 = x * x + y * y + z * z
+    if not _unit_length(norm2):
+        raise _not_unit(norm2)
+    return Observable(np.array((0.0, x, y, z)), label=label)
 
 
 def bloch_settings(vectors) -> np.ndarray:
     """The Pauli vectors (0, n), shape (..., 4), of unit Bloch vectors n of shape
     (..., 3): the stacked `observable_from_bloch`.
 
-    Each n must satisfy abs(|n|^2 - 1) <= BLOCH_UNIT_TOL; the M^2 = I residual
-    of (0, n) is then sqrt(2) abs(|n|^2 - 1) <= 1.5e-12, far below
-    OBSERVABLE_TOL.  Entries must be ints or floats (`_real_array`).
+    Each n must pass `_unit_length`, abs(|n|^2 - 1) <= BLOCH_UNIT_TOL; the
+    M^2 = I residual of (0, n) is then sqrt(2) abs(|n|^2 - 1) <= 1.5e-12, far
+    below OBSERVABLE_TOL.  Entries must be ints or floats (`_real_array`).
     """
     n = _real_array(vectors, "bloch vectors")
     with np.errstate(over="ignore"):  # a component beyond 1e154 fails the check below
         norm2 = np.sum(n * n, axis=-1)
-    bad = ~(np.abs(norm2 - 1.0) <= BLOCH_UNIT_TOL)  # NaN fails too
+    bad = ~_unit_length(norm2)
     if bad.any():
-        raise ValueError(
-            f"bloch vectors must have unit length, got |n|^2 = {float(norm2[bad][0])!r}"
-        )
+        raise _not_unit(float(norm2[bad][0]))
     return np.concatenate((np.zeros(n.shape[:-1] + (1,)), n), axis=-1)
 
 
@@ -171,22 +191,19 @@ _BELL_VECTORS = {
 }
 
 
+@functools.cache
 def bell_state(name: str) -> DensityMatrix:
     """One of the four maximally entangled states, as a rank-1 projector.
 
     psi_minus is the singlet (|01> - |10>)/sqrt(2), the state with
     correlation E(u, v) = -u.v for Bloch directions u, v.  Each state is
-    built once and shared: a DensityMatrix is frozen and read-only.
+    built once and shared: a DensityMatrix is frozen and read-only.  An
+    unknown name is not cached, so it raises on every call.
     """
     if name not in _BELL_VECTORS:
         raise ValueError(
             f"unknown Bell state {name!r}; expected one of {', '.join(BELL_STATE_NAMES)}"
         )
-    return _bell_state(name)
-
-
-@functools.cache
-def _bell_state(name: str) -> DensityMatrix:
     return pure_state(_BELL_VECTORS[name])
 
 

@@ -25,7 +25,10 @@ child streams in one array pass, the seeds from `raw64` and their counters
 through the same in-place mixer (`_mix`).  `_blocks` walks a long stream
 through one reused buffer, block by block, allocating nothing per block.
 The counter steps k * GOLDEN (`_steps`), the counter offset (`_offset`) and
-the mixer (`_mix`) each exist once and serve all three paths.
+the mixer (`_mix`) each exist once and serve all three paths.  A walk's
+set-up is paid once per process: the mixer's numpy scalar operands and the
+read-only steps of one block (`_STEP_TABLE`, k < 2**15, 256 KB) are built
+at import, and `_blocks` slices the table.
 """
 
 from __future__ import annotations
@@ -71,6 +74,14 @@ def _steps(n: int) -> np.ndarray:
     return z
 
 
+# the steps of one block of `sampler._CHUNK` outputs
+_STEP_TABLE = _steps(1 << 15)
+_STEP_TABLE.flags.writeable = False
+# the mixer's operands as numpy scalars, so no call of `_mix` converts them
+_SHIFT_30, _SHIFT_27, _SHIFT_31, _SHIFT_11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_MUL_A, _MUL_B = _as_signed(_MIX_A), _as_signed(_MIX_B)
+
+
 def _offset(seed: int, start: int) -> np.int64:
     """Counter of output start+1 of stream `seed`, (seed + (start+1) GOLDEN) mod 2**64."""
     return _as_signed((seed + (start + 1) * GOLDEN) & MASK64)
@@ -88,17 +99,17 @@ def _mix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     u = z.view(np.uint64)
     if scratch is None:
         scratch = np.empty_like(u)
-    u ^= np.right_shift(u, np.uint64(30), out=scratch)
-    z *= _as_signed(_MIX_A)
-    u ^= np.right_shift(u, np.uint64(27), out=scratch)
-    z *= _as_signed(_MIX_B)
-    u ^= np.right_shift(u, np.uint64(31), out=scratch)
+    u ^= np.right_shift(u, _SHIFT_30, out=scratch)
+    z *= _MUL_A
+    u ^= np.right_shift(u, _SHIFT_27, out=scratch)
+    z *= _MUL_B
+    u ^= np.right_shift(u, _SHIFT_31, out=scratch)
     return u
 
 
 def _unit(u: np.ndarray) -> np.ndarray:
     """Top 53 bits of uint64 outputs as doubles in [0, 1)."""
-    return (u >> np.uint64(11)).view(np.int64).astype(np.float64) * 2.0**-53
+    return (u >> _SHIFT_11).view(np.int64).astype(np.float64) * 2.0**-53
 
 
 def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -125,7 +136,8 @@ def _blocks(seed: int, n: int, size: int):
     modify) each block before asking for the next.
     """
     _check_seed(seed)
-    steps = _steps(min(size, n))
+    first = min(size, n)
+    steps = _STEP_TABLE[:first] if first <= _STEP_TABLE.size else _steps(first)
     buf, scratch = np.empty_like(steps), np.empty_like(steps, dtype=np.uint64)
     for start in range(0, n, size):
         m = min(size, n - start)

@@ -11,11 +11,13 @@ and their CDF limits L_k = ceil(cdf_k * 2**53) in one array op.  Shot j
 falls in the first cell of (+,+), (+,-), (-,+), (-,-) whose CDF value
 exceeds u = t * 2**-53, t the top 53 bits of stream output j.  Each stream
 is walked in blocks of `_CHUNK` outputs (`rng._blocks`, one reused buffer,
-no allocation per block), and the raw outputs are counted below L_k * 2**11,
-which holds exactly when t < L_k; L_k = 2**53 counts every output.  Scaling
-by a power of two is exact, so the differences of these counts are the cells
-of the per-shot lookup, bit for bit, in memory that does not grow with
-shots.  `sample_pair` is the one-pair case of the same table and counting.
+no allocation per block, its counter steps sliced from the table that `rng`
+builds at import for blocks of this size), and the raw outputs are counted
+below L_k * 2**11, which holds exactly when t < L_k; L_k = 2**53 counts
+every output.  Scaling by a power of two is exact, so the differences of
+these counts are the cells of the per-shot lookup, bit for bit, in memory
+that does not grow with shots.  `sample_pair` is the one-pair case of the
+same table and counting.
 
 When calling `sample_pair` directly with many seeds, derive them through
 `rng.child_seed` rather than using consecutive integers: splitmix64 streams

@@ -301,10 +301,6 @@ class TestMaxSOverSettings:
         assert max_s_over_settings(rho) > 2.0 + 1e-3
         assert optimize_settings(rho).s_value < 2.0 - 0.4
 
-    def test_state_dim_checked(self):
-        with pytest.raises(ValueError, match="dim 4"):
-            max_s_over_settings(DensityMatrix(np.eye(2, dtype=complex) / 2.0))
-
 
 class TestAnalyze:
     def test_optimal_scenario_report(self):
@@ -345,20 +341,10 @@ class TestAnalyze:
 
 
 class TestScenarioValidation:
-    def test_state_dim_checked(self):
-        rng = np.random.default_rng(61)
-        with pytest.raises(ValueError, match="dim 4"):
-            Scenario(
-                random_observable(rng, "a1"),
-                random_observable(rng, "a2"),
-                random_observable(rng, "b1"),
-                random_observable(rng, "b2"),
-                state=DensityMatrix(np.eye(2, dtype=complex) / 2.0),
-            )
-
-    @pytest.mark.parametrize("state", [np.eye(4) / 4, "psi_minus"], ids=["array", "name"])
+    @pytest.mark.parametrize("state", [np.eye(4) / 4, np.eye(2) / 2, "psi_minus"],
+                             ids=["array", "qubit_array", "name"])
     def test_state_type_checked(self, state):
-        # a bare matrix or a state's name is not a DensityMatrix
+        # a bare matrix, of any size, or a state's name is not a DensityMatrix
         rng = np.random.default_rng(63)
         settings = [random_observable(rng, name) for name in ("a1", "a2", "b1", "b2")]
         with pytest.raises(ValueError, match="state: expected a DensityMatrix or None"):

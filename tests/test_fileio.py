@@ -19,7 +19,7 @@ from chshlab import (
 )
 from chshlab import fileio
 from chshlab.fileio import FormatError
-from chshlab.quantum import SIGMA_Z
+from chshlab.quantum import SIGMA_Z, bloch_settings
 from chshlab.sampler import PAIR_LABELS
 
 
@@ -55,8 +55,8 @@ class TestScenarioParsing:
         assert abs(s_value(sc) - 2.0 * np.sqrt(2.0)) < 1e-9
 
     def test_spec_forms_match_library_input(self):
-        # the checked components enter observable_from_bloch as a float64
-        # array; the Pauli vector is the one list input gives, bit for bit
+        # the checked components enter observable_from_bloch as a tuple of
+        # floats; the Pauli vector is the one list input gives, bit for bit
         doc = {"a1": {"bloch": [0.6, 0, 0.8]}, "a2": {"angle": 1.2},
                "b1": {"bloch": [0, 1, 0]}, "b2": {"angle": -0.4}, "state": None}
         sc, _ = fileio.parse_scenario(json.dumps(doc))
@@ -68,6 +68,27 @@ class TestScenarioParsing:
             assert got.label == name
         with pytest.raises(ValueError, match="real numbers"):
             observable_from_bloch([0.0, False, 1.0])
+
+    def test_parsed_values_match_the_array_construction_bit_for_bit(self):
+        # plain-float entry gives the bits that a float64 array through
+        # bloch_settings, and a complex matrix filled cell by cell, give:
+        # signed zeros and integer literals included
+        vectors = {"a1": [-0.0, 0, 1], "a2": [0, -1, -0.0], "b1": [0.6, -0.0, -0.8], "b2": [1, 0, 0]}
+        rows = [[[0.25, -0.0], [0, 0], [-0.0, 0.125], [0, -0.0]],
+                [[0, 0], [0.25, 0], [0, 0], [0.0, 0]],
+                [[-0.0, -0.125], [0, 0], [0.25, 0.0], [-0.0, 0]],
+                [[0, 0.0], [0, -0.0], [-0.0, 0], [0.25, -0.0]]]
+        doc = {**{name: {"bloch": n} for name, n in vectors.items()}, "state": {"matrix": rows}}
+        sc, _ = fileio.parse_scenario(json.dumps(doc))
+        for name, n in vectors.items():
+            want = bloch_settings(np.array([float(c) for c in n]))
+            assert getattr(sc, name).pauli.tobytes() == want.tobytes()
+        want = np.zeros((4, 4), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            for j, (re_part, im_part) in enumerate(row):
+                want[i, j] = complex(float(re_part), float(im_part))
+        assert sc.state.matrix.tobytes() == want.tobytes()
+        assert np.signbit(sc.state.matrix.imag[0, 0]) and np.signbit(sc.state.matrix.real[0, 2])
 
     def test_explicit_matrix_state(self):
         rho = bell_state("phi_plus").matrix
@@ -333,6 +354,16 @@ class TestDumps:
         # json would write the scalar keys as strings; documents only have str keys
         with pytest.raises(TypeError):
             fileio.dumps({"ok": {key: 0.0}})
+
+    def test_str_subclass_key_is_type_error(self):
+        # keys follow the leaves' rule: an exact str, or json's message for
+        # an object it cannot write
+        class Label(str):
+            pass
+
+        for doc in ({Label("k"): 1}, {"ok": [{"fine": 0.5, Label("k"): 0.5}]}):
+            with pytest.raises(TypeError, match="^Object of type Label is not JSON serializable$"):
+                fileio.dumps(doc)
 
     def test_subclass_leaves_are_type_errors(self):
         # json writes these as their base; no document holds one, so `dumps`

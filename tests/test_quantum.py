@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from chshlab import (
 from chshlab.linalg import hermitian_eigen
 from chshlab.quantum import (
     BELL_STATE_NAMES,
+    BLOCH_UNIT_TOL,
     IDENTITY_2,
     OBSERVABLE_TOL,
     PAULIS,
@@ -301,11 +304,6 @@ class TestJointDistribution:
         d = joint_distribution(rho, sz, sz)
         assert d.p_pp == 1.0 and d.p_pm == 0.0 and d.p_mp == 0.0 and d.p_mm == 0.0
 
-    def test_dimension_check(self):
-        sz = observable_from_bloch((0, 0, 1))
-        with pytest.raises(ValueError, match="dim 4"):
-            joint_distribution(DensityMatrix(IDENTITY_2 / 2.0), sz, sz)
-
     def test_no_signaling_marginals_exact(self):
         # the A-side marginal cannot depend on which B observable is measured
         rng = np.random.default_rng(44)
@@ -376,10 +374,6 @@ class TestCorrelationTensor:
             )
             assert abs(got - want) < 1e-12
 
-    def test_dimension_check(self):
-        with pytest.raises(ValueError, match="dim 4"):
-            correlation_tensor(DensityMatrix(np.eye(2, dtype=complex) / 2.0))
-
 
 class TestPauliCoordinates:
     def test_pauli_vector_of_bloch_observable_is_exact(self):
@@ -402,10 +396,6 @@ class TestPauliCoordinates:
         cb = [np.trace(rho_b @ s).real for s in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)]
         assert np.allclose(r, np.outer(ca, cb), atol=1e-15)
 
-    def test_dimension_check(self):
-        with pytest.raises(ValueError, match="dim 4"):
-            pauli_correlations(DensityMatrix(IDENTITY_2 / 2.0))
-
     def test_stacked_bloch_settings_match_single_observables(self):
         rng = np.random.default_rng(53)
         vecs = np.array([[random_bloch(rng) for _ in range(4)] for _ in range(50)])
@@ -419,6 +409,79 @@ class TestPauliCoordinates:
         vecs = np.array([[0.0, 0.0, 1.0], bad])
         with pytest.raises(ValueError, match="unit length"):
             bloch_settings(vecs)
+
+
+def bloch_with_norm2(ulps: int) -> tuple[float, float, float]:
+    """(x, y, 0.0) whose x*x + y*y + 0.0*0.0 is exactly 1 + ulps spacings of
+    the floats on that side of 1 (2**-52 above, 2**-53 below)."""
+    if ulps >= 0:
+        x, want = 1.0, 1.0 + ulps * 2.0**-52
+    else:
+        x, want = 1.0 - 2.0**-40, 1.0 + ulps * 2.0**-53  # x*x rounds to 1 - 2**-39
+    n = (x, math.sqrt(want - x * x), 0.0)
+    assert n[0] * n[0] + n[1] * n[1] + n[2] * n[2] == want
+    return n
+
+
+def outcome(make, n):
+    """What `make` does with the Bloch vector n: its Pauli vector's bytes, or
+    its ValueError's message."""
+    try:
+        out = make(n)
+    except ValueError as exc:
+        return "rejects", str(exc)
+    return "accepts", np.asarray(getattr(out, "pauli", out)).tobytes()
+
+
+# the outermost accepted offsets from |n|^2 = 1, in float spacings
+ULPS_ABOVE = math.floor(BLOCH_UNIT_TOL / 2.0**-52)
+ULPS_BELOW = math.floor(BLOCH_UNIT_TOL / 2.0**-53)
+
+
+class TestBlochUnitCheck:
+    """`observable_from_bloch` checks one vector in closed form on three floats,
+    `bloch_settings` a stack with numpy; both use `_unit_length`, so they
+    accept and reject the same vectors with the same message and give the
+    same Pauli vector bit for bit."""
+
+    @pytest.mark.parametrize("ulps, accepted", [
+        (ULPS_ABOVE, True), (ULPS_ABOVE + 1, False), (-ULPS_BELOW, True), (-ULPS_BELOW - 1, False),
+    ], ids=["+tol", "+tol+ulp", "-tol", "-tol-ulp"])
+    def test_tolerance_edges(self, ulps, accepted):
+        base = bloch_with_norm2(ulps)
+        assert (outcome(observable_from_bloch, base)[0] == "accepts") == accepted
+        # every order of the components, as a tuple, a list and an array
+        for n in set(itertools.permutations(base)):
+            for form in (n, list(n), np.array(n)):
+                assert outcome(observable_from_bloch, form) == outcome(bloch_settings, form), form
+
+    @pytest.mark.parametrize("n", [
+        (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (math.inf, math.nan, 0.0),
+        (1e200, 0.0, 0.0), (0.0, -1e200, 1.0), (1e154, 1e154, 0.0),
+    ])
+    def test_non_finite_and_huge_components(self, n):
+        for form in (n, list(n), np.array(n)):
+            got = outcome(observable_from_bloch, form)
+            assert got[0] == "rejects"
+            assert got == outcome(bloch_settings, form)
+
+    @pytest.mark.parametrize("n", [
+        ("1", 0.0, 0.0), (0.0, "0", 1.0), (True, 0.0, 0.0), (0.0, 0.0, True), (1j, 0.0, 0.0),
+        (0.0, 0.0, 1.0 + 0.0j), np.array([0.0, 0.0, 1.0 + 0.0j]), np.array([True, False, False]),
+    ], ids=repr)
+    def test_entries_that_are_not_ints_or_floats(self, n):
+        # library callers can pass anything; neither form casts it to a float
+        got = outcome(observable_from_bloch, n)
+        assert got == ("rejects", "bloch vectors must be real numbers (int or float)")
+        assert got == outcome(bloch_settings, n)
+
+    @pytest.mark.parametrize("n", [(0, 0, 1), (-0.0, 0, -1), (0.6, -0.0, 0.8), (np.float64(0.6), 0, 0.8)],
+                             ids=repr)
+    def test_accepted_forms_agree_bit_for_bit(self, n):
+        got = outcome(observable_from_bloch, n)
+        assert got[0] == "accepts"
+        assert got == outcome(bloch_settings, n)
+        assert np.signbit(observable_from_bloch(n).pauli).tolist() == [False, *np.signbit(n)]
 
 
 class TestIdentityComponent:

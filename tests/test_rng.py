@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chshlab import rng
+from chshlab import rng, sampler
 from chshlab.sampler import _CHUNK
 
 MASK = (1 << 64) - 1
@@ -161,3 +161,36 @@ def test_blocks_reject_out_of_range_seed(seed):
 def test_negative_start_rejected():
     with pytest.raises(ValueError, match="start"):
         rng.raw64(9, 1, -1)
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_step_table_walk_at_the_chunk_edges(n):
+    # one block of sampler._CHUNK steps comes from the import-time table
+    assert rng._STEP_TABLE.size == _CHUNK
+    seed = 0x5EED
+    got = np.concatenate([b.copy() for b in rng._blocks(seed, n, _CHUNK)])
+    assert np.array_equal(got, rng.raw64(seed, n))
+
+
+def test_step_table_is_read_only_and_unchanged_by_walks():
+    table = rng._STEP_TABLE
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[1] = 0
+    for block in rng._blocks(3, 2 * _CHUNK + 1, _CHUNK):
+        block[:] = 0  # a caller may overwrite each block it is given
+    assert np.array_equal(table, rng._steps(_CHUNK))
+
+
+@pytest.mark.parametrize("n", [1, 2 * _CHUNK - 1, 2 * _CHUNK + 3, 5 * _CHUNK])
+def test_blocks_longer_than_the_step_table(n, monkeypatch):
+    # a block size above the table computes its own steps
+    monkeypatch.setattr(sampler, "_CHUNK", 2 * _CHUNK)
+    got = np.concatenate([b.copy() for b in rng._blocks(11, n, sampler._CHUNK)])
+    assert np.array_equal(got, rng.raw64(11, n))
+    # and the sampler's counts are those of the stream itself
+    limits = [1 << 51, 1 << 52, 3 << 51]
+    t = rng.raw64(11, n) >> np.uint64(11)
+    below = [int(np.count_nonzero(t < np.uint64(lim))) for lim in limits]
+    want = sampler.PairCounts(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
+    assert sampler._count(limits, n, 11) == want

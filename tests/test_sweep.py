@@ -277,5 +277,3 @@ class TestOptimizeSettings:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="restarts"):
             optimize_settings(bell_state("psi_minus"), restarts=0)
-        with pytest.raises(ValueError, match="dim 4"):
-            optimize_settings(DensityMatrix(np.eye(2, dtype=complex) / 2.0))
