@@ -20,17 +20,19 @@ violates |S| <= 2 - and both commutators live on a single party's side.
 Every operator-level number comes from one stacked kernel over N scenarios
 (`_chsh_pass`), whose only input is the settings' real Pauli 4-vectors.  C is
 built in Pauli coordinates, C = sum M_mu,nu sigma_mu x sigma_nu with M =
-`chsh_coefficients`, against the constant `quantum.PAULI_PRODUCTS`.  The
-local commutators are cross products: [x, y] = 2i cross(x', y') . sigma for
-the Bloch parts x', y', so ||[a1, a2]|| = 2|u| for u = cross(a1', a2') (and v
-likewise for B), and the commutator term (1/4)[a1, a2] x [b1, b2] has the Pauli
-coefficients -(0, u)(0, v)^T, contracted against the same basis as M.  The
-sign of that term is still established numerically, by squaring C.  One
-pass returns C, M, both commutator norms and the identity residuals of both
-signs.  `analyze`, `chsh_operator`, `commutator_norms` and
-`square_identity_residual` run it with N = 1, `sweep.incompatibility_sweep`
-once over all its rows, and `verify_identity_sign` on blocks of _BLOCK random
-trials, drawn for a whole block at once from the child streams of its seed.
+`chsh_coefficients`, as its real image R(C) = [[Re C, -Im C], [Im C, Re C]],
+against the images of `quantum.PAULI_PRODUCTS`.  The local commutators are
+cross products: [x, y] = 2i cross(x', y') . sigma for the Bloch parts x', y',
+so ||[a1, a2]|| = 2|u| for u = cross(a1', a2') (and v likewise for B), and the
+commutator term (1/4)[a1, a2] x [b1, b2] has the Pauli coefficients
+-(0, u)(0, v)^T, contracted against the same images.  The sign of that term
+is still established numerically, by squaring R(C).  One pass returns R(C),
+M, both commutator norms and the identity residuals of both signs; complex C
+is read off R(C) only where it is diagonalized.  `analyze`, `chsh_operator`,
+`commutator_norms` and `square_identity_residual` run it with N = 1,
+`sweep.incompatibility_sweep` once over all its rows, and
+`verify_identity_sign` on blocks of _BLOCK random trials, drawn for a whole
+block at once from the child streams of its seed.
 """
 
 from __future__ import annotations
@@ -42,16 +44,24 @@ import numpy as np
 
 from . import linalg, rng
 from .quantum import (PAULI_PRODUCTS, DensityMatrix, Observable, bloch_settings,
-                      correlation_tensor, observable_from_bloch, pauli_correlations,
-                      pure_state)
+                      correlation_tensor, observable_from_bloch, pure_state)
 
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
-_PRODUCTS = PAULI_PRODUCTS.reshape(16, 16)  # row 4 mu + nu: sigma_mu x sigma_nu, flattened
 _SIGNS = (1, -1)  # column order of the identity residuals
+_SIGN_COLUMN = np.array(_SIGNS, dtype=float)[:, None, None]
 # on Pauli 4-vectors, x[_NEXT] * y[_PREV] - x[_PREV] * y[_NEXT] = (0, cross(x', y'))
 _NEXT, _PREV = [0, 2, 3, 1], [0, 3, 1, 2]
-# trials per array pass of verify_identity_sign; bounds its memory at any trial count
+# Real images R(Z) = [[Re Z, -Im Z], [Im Z, Re Z]] of the Pauli products, row
+# 4 mu + nu, flattened: R is real-linear and R(XY) = R(X) R(Y), so M.reshape(16)
+# @ _IMAGES is R(C).  _HALVES and _EYE_HALF hold the left halves [[Re Z], [Im Z]]
+# of the products' images and of I's.
+_IMAGES = np.block([[PAULI_PRODUCTS.real, -PAULI_PRODUCTS.imag],
+                    [PAULI_PRODUCTS.imag, PAULI_PRODUCTS.real]]).reshape(16, 64)
+_HALVES = _IMAGES.reshape(16, 8, 8)[..., :4].reshape(16, 32)
+_EYE_HALF = np.eye(8, 4).reshape(32)
+# trials per array pass of verify_identity_sign: a block of them peaks at
+# about 2.4 MB under tracemalloc (2.3 kB per trial), at any trial count
 _BLOCK = 1024
 
 # Sign of the commutator term in C^2 = I + sign * (1/4)[a1,a2] x [b1,b2].
@@ -99,30 +109,40 @@ def chsh_coefficients(vectors) -> np.ndarray:
 class _Pass(NamedTuple):
     """One stacked evaluation of N scenarios."""
 
-    operator: np.ndarray  # (N, 4, 4) C
+    image: np.ndarray  # (N, 8, 8) real image R(C) = [[Re C, -Im C], [Im C, Re C]]
     coefficients: np.ndarray  # (N, 4, 4) M, with S = 2 <M, R>
     commutator_norms: np.ndarray  # (N, 2) spectral norms of [a1, a2] and [b1, b2]
     residuals: np.ndarray  # (N, 2) identity residuals, signs in _SIGNS order
 
+    @property
+    def operator(self) -> np.ndarray:
+        """(N, 4, 4) complex C = Re C + i Im C, from the left blocks of R(C)."""
+        c = np.empty((len(self.image), 4, 4), dtype=np.complex128)
+        c.real, c.imag = self.image[:, :4, :4], self.image[:, 4:, :4]
+        return c
+
 
 def _chsh_pass(vectors: np.ndarray) -> _Pass:
-    """C, M, both local commutator norms and both identity residuals of N
+    """R(C), M, both local commutator norms and both identity residuals of N
     scenarios, from the (N, 4, 4) Pauli vectors of a1, a2, b1, b2.
 
     The cross products w = (0, u), (0, v) of (a1, a2) and (b1, b2) give the
-    norms 2|u|, 2|v| and the commutator term's coefficients -w_A w_B^T, which
-    go through the Pauli-product basis in one matmul with M.
+    norms 2|u|, 2|v| and the commutator term's coefficients -w_A w_B^T.  Only
+    left halves are formed: R(C) R(C)[:, :4] - I is that of C^2 - I, and
+    ||Z||_F^2 is the sum of squares of Z's left half [[Re Z], [Im Z]].
     """
     n = len(vectors)
     m = chsh_coefficients(vectors)
     x, y = vectors[..., _NEXT], vectors[..., _PREV]
     w = x[:, 0::2] * y[:, 1::2] - y[:, 0::2] * x[:, 1::2]  # (a1, b1) cross (a2, b2)
-    coefficients = np.concatenate((m[:, None], -w[:, :1, :, None] * w[:, 1:, None, :]), axis=1)
-    ops = (coefficients.reshape(2 * n, 16) @ _PRODUCTS).reshape(n, 2, 4, 4)
-    c, term = ops[:, 0], ops[:, 1:]  # term (N, 1, 4, 4) broadcasts over _SIGNS
-    target = np.eye(4) + np.array(_SIGNS)[:, None, None] * term
-    residuals = np.linalg.norm((c @ c)[:, None] - target, axis=(-2, -1))
-    return _Pass(c, m, 2.0 * np.linalg.norm(w, axis=-1), residuals)
+    image = (m.reshape(n, 16) @ _IMAGES).reshape(n, 8, 8)
+    neg_term = (w[:, 0, :, None] * w[:, 1, None, :]).reshape(n, 16) @ _HALVES  # of -term
+    square = (image @ image[..., :4]).reshape(n, 32)
+    square -= _EYE_HALF
+    diff = _SIGN_COLUMN * neg_term  # (2, N, 32), signs in _SIGNS order
+    diff += square
+    residuals = np.sqrt(np.einsum("snk,snk->ns", diff, diff))
+    return _Pass(image, m, 2.0 * np.linalg.norm(w, axis=-1), residuals)
 
 
 def _scenario_pass(sc: Scenario) -> _Pass:
@@ -167,7 +187,7 @@ def s_value(sc: Scenario) -> float:
     if sc.state is None:
         raise ValueError("scenario has no state; s_value needs one")
     m = chsh_coefficients([obs.pauli for obs in sc.observables()])
-    return _s_at(m, pauli_correlations(sc.state))
+    return _s_at(m, sc.state.correlations)
 
 
 def _s_at(m: np.ndarray, r: np.ndarray) -> float:
@@ -228,7 +248,7 @@ def analyze(sc: Scenario) -> Report:
     max_s = 2.0 * nrm
     return Report(
         s_value=(None if sc.state is None
-                 else _s_at(p.coefficients[0], pauli_correlations(sc.state))),
+                 else _s_at(p.coefficients[0], sc.state.correlations)),
         max_s_over_states=max_s,
         chsh_operator_norm=nrm,
         comm_a_norm=comm_a,

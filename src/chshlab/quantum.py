@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,9 +154,12 @@ def bloch_of(obs: Observable) -> tuple[float, float, float]:
 class DensityMatrix:
     """A two-qubit state: positive semidefinite, unit trace, 4x4, held as a
     read-only complex128 copy (`matrix`): later writes to the caller's array
-    do not reach a validated state, and the state's own array rejects them."""
+    do not reach a validated state, and the state's own array rejects them.
+    Its R = `pauli_correlations` is taken once, here, and kept read-only
+    (`correlations`), so every statistic of one state shares one R."""
 
     matrix: np.ndarray
+    correlations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
@@ -172,6 +175,9 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)  # frozen, so no later rebinding skips the checks
+        r = pauli_correlations(self)
+        r.flags.writeable = False
+        object.__setattr__(self, "correlations", r)
 
 
 def pure_state(vector) -> DensityMatrix:
@@ -253,15 +259,15 @@ def _born_cells(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def joint_distribution(rho: DensityMatrix, a: Observable, b: Observable) -> JointDistribution:
     """Born-rule joint outcomes p(alpha, beta) = tr(rho (P_alpha x P_beta)),
     P_alpha = (I + alpha M) / 2: `_born_cells` of the one pair."""
-    return JointDistribution(*_born_cells(pauli_correlations(rho), a.pauli, b.pauli).tolist())
+    return JointDistribution(*_born_cells(rho.correlations, a.pauli, b.pauli).tolist())
 
 
 def correlation(rho: DensityMatrix, a: Observable, b: Observable) -> float:
     """E(a, b) = tr(rho (A x B)) = a^T R b, in [-1, 1] up to rounding."""
-    return float(a.pauli @ pauli_correlations(rho) @ b.pauli)
+    return float(a.pauli @ rho.correlations @ b.pauli)
 
 
 def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
     """Real 3x3 T = R[1:, 1:]; E(a, b) = n_a^T T n_b for Bloch vectors n_a, n_b
     (Horodecki et al., Phys. Lett. A 200, 340 (1995))."""
-    return pauli_correlations(rho)[1:, 1:]
+    return rho.correlations[1:, 1:]

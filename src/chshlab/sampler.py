@@ -4,9 +4,10 @@ Reproducibility contract: every random draw comes from the counter-based
 generator in `rng`, so identical configurations give bit-identical results
 on any platform.  The master seed spawns one child stream per setting pair
 in the fixed order a1b1, a1b2, a2b1, a2b2 (pair index 0..3).  A run builds
-one Born table: R = `quantum.pauli_correlations` of the state once, then the
-four pairs' cells (1/4)(e0 + alpha a)^T R (e0 + beta b) in one stacked
-product (`quantum._born_cells`, whose one-pair case is `joint_distribution`)
+one Born table: the state's R (`DensityMatrix.correlations`, computed once
+when the state is built, which `chsh.s_value` reads too), then the four
+pairs' cells (1/4)(e0 + alpha a)^T R (e0 + beta b) in one stacked product
+(`quantum._born_cells`, whose one-pair case is `joint_distribution`)
 and their CDF limits L_k = ceil(cdf_k * 2**53) in one array op.  Shot j
 falls in the first cell of (+,+), (+,-), (-,+), (-,-) whose CDF value
 exceeds u = t * 2**-53, t the top 53 bits of stream output j.  Each stream
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import rng
 from .chsh import Scenario
-from .quantum import DensityMatrix, JointDistribution, Observable, _born_cells, pauli_correlations
+from .quantum import DensityMatrix, JointDistribution, Observable, _born_cells
 
 PAIR_LABELS = ("a1b1", "a1b2", "a2b1", "a2b2")
 # stream outputs per counting block: with the raw-output comparison, 2**15
@@ -101,7 +102,7 @@ def sample_pair(
     the one-pair case of `run_experiment`'s table and counting."""
     if shots < 1:
         raise ValueError("shots >= 1 required")
-    cells = _born_cells(pauli_correlations(rho), a.pauli[None], b.pauli[None])
+    cells = _born_cells(rho.correlations, a.pauli[None], b.pauli[None])
     return _sample(cells, shots, [seed])[0]
 
 
@@ -150,7 +151,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     a = np.array([sc.a1.pauli, sc.a1.pauli, sc.a2.pauli, sc.a2.pauli])
     b = np.array([sc.b1.pauli, sc.b2.pauli, sc.b1.pauli, sc.b2.pauli])
     seeds = [rng.child_seed(cfg.seed, i) for i in range(len(PAIR_LABELS))]
-    counts = _sample(_born_cells(pauli_correlations(sc.state), a, b), cfg.shots_per_pair, seeds)
+    counts = _sample(_born_cells(sc.state.correlations, a, b), cfg.shots_per_pair, seeds)
     e_hat = [c.correlation_estimate() for c in counts]
     s_hat = e_hat[0] + e_hat[1] + e_hat[2] - e_hat[3]
     var = sum(max(0.0, 1.0 - e * e) / cfg.shots_per_pair for e in e_hat)

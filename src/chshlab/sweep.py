@@ -43,7 +43,7 @@ import numpy as np
 
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
 from .linalg import operator_norm
-from .quantum import DensityMatrix, Observable, pauli_correlations
+from .quantum import DensityMatrix, Observable
 
 _TWO_PI = 2.0 * np.pi
 
@@ -109,7 +109,11 @@ class OptimizeResult:
 
 
 def _planar_pauli(angles) -> np.ndarray:
-    """Pauli vectors (0, sin t, 0, cos t) of x-z angles t, stacked on a new last axis."""
+    """Pauli vectors (0, sin t, 0, cos t) of x-z angles t, stacked on a new last
+    axis; one float angle, as `fileio` passes, is written directly, with the
+    same np.sin and np.cos."""
+    if type(angles) is float:
+        return np.array((0.0, np.sin(angles), 0.0, np.cos(angles)))
     t = np.asarray(angles)
     zero = np.zeros_like(t)
     return np.stack((zero, np.sin(t), zero, np.cos(t)), axis=-1)
@@ -129,7 +133,7 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     """
     if restarts < 1:
         raise ValueError("restarts >= 1 required")
-    corr = pauli_correlations(state)
+    corr = state.correlations
     (t11, t12), (t21, t22) = _xz_block(corr)
     s_sum, s_diff = math.hypot(t22 + t11, t12 - t21), math.hypot(t22 - t11, t12 + t21)
     a_minus_g = math.atan2(t12 - t21, t22 + t11)
@@ -180,7 +184,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     """
     if phi_steps < 2:
         raise ValueError("phi_steps >= 2 required")
-    corr = pauli_correlations(state)
+    corr = state.correlations
     t = _xz_block(corr)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()
     settings = [_row_settings(phi, t) for phi in phis]

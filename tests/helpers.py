@@ -132,3 +132,25 @@ def kron_max_s_over_settings(rho):
     t = np.array([[kron_trace(rho, p, q) for q in paulis] for p in paulis])
     m = np.linalg.eigvalsh(t.T @ t)  # ascending
     return 2.0 * np.sqrt(max(0.0, m[-1] + m[-2]))
+
+
+def complex_chsh_pass(vectors):
+    """Oracle for `chsh._chsh_pass` by the complex construction: M as
+    `chsh_coefficients` forms it, C = M . PAULI_PRODUCTS and the commutator term
+    -(0, u)(0, v)^T . PAULI_PRODUCTS as complex matmuls, the commutator norms
+    2|u|, 2|v| of the cross products u, v, and the Frobenius norms of the complex
+    square C @ C minus I + sign * term for sign +1, -1.  Returns (C, M, norms,
+    residuals) for the (N, 4, 4) Pauli vectors of a1, a2, b1, b2."""
+    from chshlab.quantum import PAULI_PRODUCTS
+
+    v = np.asarray(vectors)
+    n = len(v)
+    m = 0.5 * v[:, :2, :].swapaxes(-2, -1) @ (np.array([[1.0, 1.0], [1.0, -1.0]]) @ v[:, 2:, :])
+    x, y = v[..., [0, 2, 3, 1]], v[..., [0, 3, 1, 2]]
+    w = x[:, 0::2] * y[:, 1::2] - y[:, 0::2] * x[:, 1::2]  # (0, u), (0, v)
+    coefficients = np.concatenate((m[:, None], -w[:, :1, :, None] * w[:, 1:, None, :]), axis=1)
+    ops = (coefficients.reshape(2 * n, 16) @ PAULI_PRODUCTS.reshape(16, 16)).reshape(n, 2, 4, 4)
+    c, term = ops[:, 0], ops[:, 1:]
+    target = np.eye(4) + np.array([1.0, -1.0])[:, None, None] * term
+    residuals = np.linalg.norm((c @ c)[:, None] - target, axis=(-2, -1))
+    return c, m, 2.0 * np.linalg.norm(w, axis=-1), residuals

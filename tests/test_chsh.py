@@ -28,7 +28,7 @@ from chshlab import chsh, rng
 from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_scenario
 from chshlab.quantum import SIGMA_X, SIGMA_Z
 
-from helpers import (frobenius, kron_chsh_operator, kron_identity_target,
+from helpers import (complex_chsh_pass, frobenius, kron_chsh_operator, kron_identity_target,
                      kron_max_s_over_settings, random_density, random_observable,
                      random_pure_density, random_qubit_density)
 from helpers import random_scenario as np_random_scenario
@@ -103,6 +103,35 @@ class TestStackedPass:
                 want = frobenius(c @ c - kron_identity_target(*mats, sign))
                 assert abs(square_identity_residual(sc, sign) - want) <= 1e-15 * max(1.0, want)
 
+    def test_kernel_matches_the_complex_construction(self):
+        # C from its real image, M and the commutator norms equal the complex
+        # construction bit for bit (signed zeros included) at every stack size;
+        # the residuals, summed over real and imaginary parts, agree to rounding
+        gen = np.random.default_rng(19)
+        k = 12_000
+        z, phi = gen.uniform(-1.0, 1.0, (k, 4)), gen.uniform(0.0, 2.0 * np.pi, (k, 4))
+        r = np.sqrt(1.0 - z * z)
+        vectors = np.stack((np.zeros_like(z), r * np.cos(phi), r * np.sin(phi), z), axis=-1)
+        signed_axes = np.concatenate((np.eye(4), -np.eye(4)))  # +-I, +-x, +-y, +-z
+        vectors[:2000] = signed_axes[gen.integers(0, 8, (2000, 4))]
+        t = gen.uniform(-4.0 * np.pi, 4.0 * np.pi, (1000, 4))
+        vectors[2000:3000] = np.stack((0.0 * t, np.sin(t), 0.0 * t, np.cos(t)), axis=-1)  # planar
+        vectors[3000:3500, 1] = vectors[3000:3500, 0]  # a1 = a2
+        vectors[3500:4000, 3] = vectors[3500:4000, 2]  # b1 = b2
+        vectors[4000:4200, 1] = -vectors[4000:4200, 0]  # a2 = -a1
+        want_c, want_m, want_norms, want_res = complex_chsh_pass(vectors)
+        sizes = [1, 1, 19, chsh._BLOCK - 1, chsh._BLOCK, chsh._BLOCK + 1]
+        sizes.append(k - sum(sizes))
+        start = 0
+        for size in sizes:
+            rows = slice(start, start + size)
+            start += size
+            p = chsh._chsh_pass(vectors[rows])
+            assert p.operator.tobytes() == want_c[rows].tobytes()
+            assert p.coefficients.tobytes() == want_m[rows].tobytes()
+            assert p.commutator_norms.tobytes() == want_norms[rows].tobytes()
+            assert np.all(np.abs(p.residuals - want_res[rows]) <= 1e-15 * np.maximum(1.0, want_res[rows]))
+
     def test_commutator_norms_match_spectral_oracle(self):
         rng_np = np.random.default_rng(67)
         for _ in range(200):
@@ -131,6 +160,13 @@ class TestBlockedIdentityCheck:
         assert abs(check.max_residual_minus - loop[1]) <= 1e-15
         want = SignCheck(trials, float(loop[0]), float(loop[1]), VIOLATION_TOL).verified_sign
         assert check.verified_sign == want == -1
+
+    def test_default_seed_output_is_pinned(self):
+        # the printed maxima of `check-identity --trials 20000` at the default seed
+        check = verify_identity_sign(20000, 20260808)
+        assert check.verified_sign == -1
+        assert abs(check.max_residual_plus - 3.99989188491558) <= 1e-12
+        assert check.max_residual_minus <= 2e-15
 
     def test_result_does_not_depend_on_block_edges(self, monkeypatch):
         want = verify_identity_sign(300, 99)

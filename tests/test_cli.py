@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from chshlab import __version__, fileio
+from chshlab import __version__, bell_state, chsh, cli, fileio, quantum, sampler
 from chshlab.cli import main
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -166,6 +166,21 @@ class TestSimulate:
         assert main(["simulate", str(scen), "--shots", "100", "--seed", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "simulate" and doc["input"]["seed"] == 4
+
+    def test_state_correlations_computed_once(self, tmp_path, capsys, monkeypatch):
+        # run_experiment and s_value share the parsed state's R
+        calls = []
+        compute = quantum.pauli_correlations
+        for module in (quantum, chsh, sampler, cli):
+            if hasattr(module, "pauli_correlations"):
+                monkeypatch.setattr(module, "pauli_correlations",
+                                    lambda rho: calls.append(rho) or compute(rho))
+        werner = 0.8 * bell_state("psi_minus").matrix + 0.05 * np.eye(4)
+        scen = write_scenario(tmp_path / "werner.json",
+                              state={"matrix": [[[c.real, c.imag] for c in row] for row in werner]})
+        assert main(["simulate", str(scen), "--shots", "100", "--seed", "4"]) == 0
+        assert "s_exact" in json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
 
     def test_seed_range_checked(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "opt.json")

@@ -90,6 +90,21 @@ class TestScenarioParsing:
         assert sc.state.matrix.tobytes() == want.tobytes()
         assert np.signbit(sc.state.matrix.imag[0, 0]) and np.signbit(sc.state.matrix.real[0, 2])
 
+    def test_angles_match_the_stacked_construction_bit_for_bit(self):
+        # one float angle skips np.asarray / np.zeros_like / np.stack but keeps
+        # np.sin and np.cos: seeded angles, signed zeros, multiples of 2 pi and
+        # |t| > 1e6 give the stacked bits
+        angles = np.random.default_rng(19).uniform(-10.0, 10.0, 200).tolist()
+        angles += [0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 6.0 * np.pi, 1e6 * np.pi,
+                   1e6 + 0.5, -3.3e7, 1e15, -1e300, 2.0**60, 5]
+        for t in angles:
+            spec = json.loads(json.dumps({"angle": t}))
+            got = fileio.observable_from_spec(spec, "a1").pauli
+            t = np.asarray(float(t))
+            zero = np.zeros_like(t)
+            want = np.stack((zero, np.sin(t), zero, np.cos(t)), axis=-1)
+            assert got.tobytes() == want.tobytes(), t
+
     def test_explicit_matrix_state(self):
         rho = bell_state("phi_plus").matrix
         doc = optimal_doc(state={"matrix": [[[c.real, c.imag] for c in row] for row in rho]})
