@@ -14,7 +14,6 @@ from .chsh import (
     Report,
     Scenario,
     analyze,
-    check_state_independent_bound,
     chsh_operator,
     commutator_norms,
     extremal_eigenstate,
@@ -64,7 +63,6 @@ __all__ = [
     "Report",
     "Scenario",
     "analyze",
-    "check_state_independent_bound",
     "chsh_operator",
     "commutator_norms",
     "extremal_eigenstate",

@@ -32,7 +32,8 @@ is read off R(C) only where it is diagonalized.  `analyze`, `chsh_operator`,
 `commutator_norms` and `square_identity_residual` run it with N = 1,
 `sweep.incompatibility_sweep` once over all its rows, and
 `verify_identity_sign` on blocks of _BLOCK random trials, drawn for a whole
-block at once from the child streams of its seed.
+block at once from the child streams of its seed; `_sphere` writes those
+generated settings, and `random_scenario`'s, as Pauli vectors, unchecked.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rng
-from .quantum import (PAULI_PRODUCTS, DensityMatrix, Observable, bloch_settings,
-                      correlation_tensor, observable_from_bloch, pure_state)
+from .quantum import PAULI_PRODUCTS, DensityMatrix, Observable, correlation_tensor, pure_state
 
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -69,15 +69,17 @@ _BLOCK = 1024
 # never hardcoded from a printed convention: the +1 variant fails for this
 # operator ordering.
 IDENTITY_SIGN = -1
+IDENTITY_TRIALS, IDENTITY_SEED = 1000, 20260808  # defaults of check-identity too
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Four measurement settings plus an optional shared state.
 
     The realized full-space operators are a_i x I and I x b_j, so the two
     parties' observables commute across sides identically; only the setting
-    and state types need checking (every `DensityMatrix` is two-qubit).
+    and state types need checking (every `DensityMatrix` is two-qubit), and
+    the record is frozen, like its parts, so no later rebinding skips that.
     """
 
     a1: Observable
@@ -88,8 +90,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            obs = getattr(self, name)
-            if not isinstance(obs, Observable):
+            if not isinstance(getattr(self, name), Observable):
                 raise ValueError(f"{name}: expected an Observable")
         if self.state is not None and not isinstance(self.state, DensityMatrix):
             raise ValueError("state: expected a DensityMatrix or None")
@@ -176,12 +177,6 @@ def commutator_norms(sc: Scenario) -> tuple[float, float]:
     return tuple(_scenario_pass(sc).commutator_norms[0].tolist())
 
 
-def check_state_independent_bound(sc: Scenario) -> bool:
-    """True iff |S| <= 2 for every state, i.e. max eig of C^2 is <= 1 + tol."""
-    nrm = linalg.operator_norm(chsh_operator(sc))
-    return nrm * nrm <= 1.0 + VIOLATION_TOL
-
-
 def s_value(sc: Scenario) -> float:
     """S = E11 + E12 + E21 - E22 = 2 <M, R> at the scenario's state."""
     if sc.state is None:
@@ -260,26 +255,21 @@ def analyze(sc: Scenario) -> Report:
 
 
 def _sphere(u: np.ndarray) -> np.ndarray:
-    """Uniforms (..., 2n) -> n unit vectors (..., n, 3), uniform on the sphere."""
+    """Uniforms (..., 2n) -> the Pauli vectors (0, n), shape (..., n, 4), of n unit
+    vectors uniform on the sphere.  |n|^2 = r^2 (cos^2 + sin^2) + z^2 is 1 to a
+    few ulp, so the points are written directly, with no unit check."""
     z = 2.0 * u[..., 0::2] - 1.0
     phi = 2.0 * np.pi * u[..., 1::2]
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
-
-def random_bloch_vectors(seed: int, n: int) -> np.ndarray:
-    """n unit vectors drawn uniformly on the sphere from the seeded stream."""
-    return _sphere(rng.uniforms(seed, 2 * n))
+    return np.stack([np.zeros_like(z), r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
 def random_scenario(seed: int, state: DensityMatrix | None = None) -> Scenario:
-    """Scenario with four independent uniformly random settings."""
-    vecs = random_bloch_vectors(seed, 4)
-    a1, a2, b1, b2 = (
-        observable_from_bloch(vecs[i], label=lbl)
-        for i, lbl in enumerate(("a1", "a2", "b1", "b2"))
-    )
-    return Scenario(a1, a2, b1, b2, state=state)
+    """Scenario with four independent uniformly random settings: the `_sphere`
+    rows of `seed`'s first 8 uniforms, as `verify_identity_sign` draws them."""
+    paulis = _sphere(rng.uniforms(seed, 8))
+    return Scenario(*(Observable(c, label=lbl) for c, lbl in zip(paulis, ("a1", "a2", "b1", "b2"))),
+                    state=state)
 
 
 @dataclass
@@ -309,23 +299,23 @@ class SignCheck:
         return None
 
 
-def verify_identity_sign(trials: int = 1000, seed: int = 20260808) -> SignCheck:
+def verify_identity_sign(trials: int = IDENTITY_TRIALS, seed: int = IDENTITY_SEED) -> SignCheck:
     """Brute-force the sign of the C^2 identity over random scenarios.
 
     Trial k is `random_scenario(rng.child_seed(seed, k))` for the unsigned
     64-bit `seed`.  The trials run _BLOCK at a time, each block one
     `_chsh_pass`: `rng.child_uniforms` draws the settings of all its child
-    streams at once and `bloch_settings` checks them as `observable_from_bloch`
-    would.  Records the maximum residual of each sign against VIOLATION_TOL;
-    the maxima do not depend on where the blocks split.
+    streams at once and `_sphere` writes their Pauli vectors.  Records the
+    maximum residual of each sign against VIOLATION_TOL; the maxima do not
+    depend on where the blocks split.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     worst = np.zeros(len(_SIGNS))
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
-        vectors = _sphere(rng.child_uniforms(seed, count, 8, start))
-        worst = np.maximum(worst, _chsh_pass(bloch_settings(vectors)).residuals.max(axis=0))
+        paulis = _sphere(rng.child_uniforms(seed, count, 8, start))
+        worst = np.maximum(worst, _chsh_pass(paulis).residuals.max(axis=0))
     return SignCheck(
         trials=trials,
         max_residual_plus=float(worst[0]),

@@ -19,7 +19,7 @@ import functools
 import sys
 
 from . import __version__, fileio
-from .chsh import analyze, s_value, verify_identity_sign
+from .chsh import IDENTITY_SEED, IDENTITY_TRIALS, analyze, s_value, verify_identity_sign
 from .lhv import classical_max, classical_min, enumerate_strategies, strategy_s_value
 from .sampler import RunConfig, run_experiment
 from .sweep import incompatibility_sweep
@@ -29,8 +29,6 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_EXPECTATION = 3
 EXIT_INTERNAL = 4
-
-_DEFAULT_IDENTITY_SEED = 20260808
 
 
 def _parse_seed(text: str) -> int:
@@ -61,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check-identity",
         help="verify the sign of C^2 = I + sign*(1/4)[a1,a2] kron [b1,b2]",
     )
-    p.add_argument("--trials", type=int, default=1000, help="random scenarios to test")
-    p.add_argument("--seed", type=_parse_seed, default=_DEFAULT_IDENTITY_SEED, metavar="U64",
+    p.add_argument("--trials", type=int, default=IDENTITY_TRIALS, help="random scenarios to test")
+    p.add_argument("--seed", type=_parse_seed, default=IDENTITY_SEED, metavar="U64",
                    help=seed_help)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo Bell run")

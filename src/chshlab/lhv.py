@@ -42,7 +42,7 @@ def classical_min() -> int:
     return min(strategy_s_value(st) for st in enumerate_strategies())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Mixture:
     """Probability weights over the 16 strategies, in enumeration order."""
 
@@ -57,7 +57,7 @@ class Mixture:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-        self.weights = w
+        object.__setattr__(self, "weights", w)  # frozen, so no later rebinding skips the checks
 
 
 def mixture_correlations(mix: Mixture) -> tuple[float, float, float, float]:

@@ -44,6 +44,8 @@ OBSERVABLE_TOL = 1e-10
 BLOCH_UNIT_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
+_CELL_LO = 2.0 * _EIGENVALUE_FLOOR - 1e-12
+_CELL_HI = 1.0 + _TRACE_TOL - 3.0 * _EIGENVALUE_FLOOR + 1e-12
 
 BELL_STATE_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 _REAL_TYPES = (int, float, np.integer, np.floating)  # bool is an int, so checked apart
@@ -112,15 +114,13 @@ def _not_unit(norm2: float) -> ValueError:
 
 
 def observable_from_bloch(n, label: str = "") -> Observable:
-    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z):
-    `bloch_settings` for one n, its unit check in closed form on three floats
-    (x*x + y*y + z*z is np.sum(n * n) bit for bit).  A tuple of exact floats,
-    as `fileio` passes, skips the array round trip of the type check."""
+    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z).
+
+    A tuple of three exact floats, as `fileio` passes, is checked in closed
+    form (x*x + y*y + z*z is np.sum(n * n) bit for bit); any other input goes
+    through `bloch_settings`, which gives the same bytes and messages."""
     if not (type(n) is tuple and len(n) == 3 and all(type(v) is float for v in n)):
-        v = _real_array(n, "bloch vectors")
-        if v.shape != (3,):  # not one vector: the stacked path says what is wrong
-            return Observable(bloch_settings(v), label=label)
-        n = v.tolist()
+        return Observable(bloch_settings(n), label=label)
     x, y, z = n
     norm2 = x * x + y * y + z * z
     if not _unit_length(norm2):
@@ -222,7 +222,13 @@ def maximally_mixed() -> DensityMatrix:
 @dataclass
 class JointDistribution:
     """Outcome probabilities p(alpha, beta) for one setting pair, in the cell
-    order (+,+), (+,-), (-,+), (-,-) used across the package."""
+    order (+,+), (+,-), (-,+), (-,-) used across the package.
+
+    A Born cell is tr(rho Pi) for a projector Pi of rank r in {0, 1, 2, 4}; a
+    `DensityMatrix` has eigenvalues >= _EIGENVALUE_FLOOR and trace within
+    _TRACE_TOL of 1, so r * floor <= cell <= 1 + _TRACE_TOL - (4 - r) * floor.
+    Cells must lie in [_CELL_LO, _CELL_HI], the widest of these (r = 2 below,
+    r = 1 above) plus 1e-12 for rounding, and sum to 1 within _TRACE_TOL."""
 
     p_pp: float
     p_pm: float
@@ -231,11 +237,11 @@ class JointDistribution:
 
     def __post_init__(self):
         p0, p1, p2, p3 = cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        lo, hi = -1e-12, 1.0 + 1e-12
+        lo, hi = _CELL_LO, _CELL_HI
         if not (lo <= p0 <= hi and lo <= p1 <= hi and lo <= p2 <= hi and lo <= p3 <= hi):
             raise ValueError(f"probabilities out of range: {[float(x) for x in cells]}")  # NaN too
         total = 0.0 + p0 + p1 + p2 + p3  # np.sum's order: from +0.0, left to right
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > _TRACE_TOL:
             raise ValueError(f"probabilities must sum to 1, got {float(total)!r}")
 
 

@@ -11,9 +11,9 @@ pairs' cells (1/4)(e0 + alpha a)^T R (e0 + beta b) in one stacked product
 and their CDF limits L_k = ceil(cdf_k * 2**53) in one array op.  Shot j
 falls in the first cell of (+,+), (+,-), (-,+), (-,-) whose CDF value
 exceeds u = t * 2**-53, t the top 53 bits of stream output j.  Each stream
-is walked in blocks of `_CHUNK` outputs (`rng._blocks`, one reused buffer,
-no allocation per block, its counter steps sliced from the table that `rng`
-builds at import for blocks of this size), and the raw outputs are counted
+is walked in blocks of `rng._CHUNK` outputs (`rng._blocks`, one reused
+buffer, no allocation per block, its counter steps sliced from the table
+that `rng` builds at import), and the raw outputs are counted
 below L_k * 2**11, which holds exactly when t < L_k; L_k = 2**53 counts
 every output.  Scaling by a power of two is exact, so the differences of
 these counts are the cells of the per-shot lookup, bit for bit, in memory
@@ -37,11 +37,6 @@ from .chsh import Scenario
 from .quantum import DensityMatrix, JointDistribution, Observable, _born_cells
 
 PAIR_LABELS = ("a1b1", "a1b2", "a2b1", "a2b2")
-# stream outputs per counting block: with the raw-output comparison, 2**15
-# drew 262M shots/s of thread CPU time against 213M/s at 2**16 and 206M/s at
-# 2**14 (best in 30 of 30 interleaved rounds, 1e6 shots per pair; 2-core
-# x86-64, numpy 2.4)
-_CHUNK = 1 << 15
 _EVERY = 1 << 53  # a CDF limit that every 53-bit t lies below
 
 
@@ -62,7 +57,7 @@ class PairCounts:
         return (self.pp + self.mm - self.pm - self.mp) / self.total
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
     shots_per_pair: int
@@ -136,7 +131,7 @@ def _count(limits: list[int], shots: int, seed: int) -> PairCounts:
     if _EVERY in below:
         below[_EVERY] = shots
     scan = [(lim, np.uint64(lim << 11)) for lim in below if 0 < lim < _EVERY]
-    for raw in rng._blocks(seed, shots, _CHUNK):
+    for raw in rng._blocks(seed, shots):
         for lim, bound in scan:
             below[lim] += int(np.count_nonzero(raw < bound))
     b0, b1, b2 = (below[lim] for lim in limits)

@@ -22,6 +22,22 @@ def expectation(d) -> float:
     return d.p_pp - d.p_pm - d.p_mp + d.p_mm
 
 
+_I, _Z = (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+# Diagonals of states at the edges of DensityMatrix's tolerances (an eigenvalue
+# below zero, a trace above one), each with a setting pair (Pauli vectors a, b)
+# whose Born cells leave [-1e-12, 1 + 1e-12]; every one of them must sample.
+EDGE_STATES = [
+    ((-5e-11, 0.5, 0.5, 5e-11), _Z, _Z),
+    ((1.0 + 3e-11, -1e-11, -1e-11, -1e-11), _Z, _Z),
+    (((1.0 + 5e-11) / 4.0,) * 4, _I, _I),
+    ((0.5, -6e-11, 0.5 + 6e-11, 0.0), _I, _Z),
+]
+
+
+def diagonal_state(diag) -> DensityMatrix:
+    return DensityMatrix(np.diag(diag).astype(complex))
+
+
 def random_hermitian(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2.0

@@ -11,7 +11,6 @@ from chshlab import (
     analyze,
     bell_state,
     bloch_of,
-    check_state_independent_bound,
     chsh_operator,
     commutator_norms,
     extremal_eigenstate,
@@ -25,7 +24,7 @@ from chshlab import (
     verify_identity_sign,
 )
 from chshlab import chsh, rng
-from chshlab.chsh import VIOLATION_TOL, SignCheck, random_bloch_vectors, random_scenario
+from chshlab.chsh import VIOLATION_TOL, SignCheck, random_scenario
 from chshlab.quantum import SIGMA_X, SIGMA_Z
 
 from helpers import (complex_chsh_pass, frobenius, kron_chsh_operator, kron_identity_target,
@@ -143,10 +142,13 @@ class TestStackedPass:
 
 class TestBlockedIdentityCheck:
     def test_batched_bloch_vectors_are_the_child_streams(self):
+        # block row k holds the Pauli vectors of trial start + k's scenario, bit for bit
         seed, start = 20260808, chsh._BLOCK - 3
         got = chsh._sphere(rng.child_uniforms(seed, 6, 8, start))
-        for k, vecs in enumerate(got):
-            assert np.array_equal(vecs, random_bloch_vectors(rng.child_seed(seed, start + k), 4))
+        assert got.shape == (6, 4, 4)
+        for k, paulis in enumerate(got):
+            sc = random_scenario(rng.child_seed(seed, start + k))
+            assert paulis.tobytes() == np.array([o.pauli for o in sc.observables()]).tobytes()
 
     @pytest.mark.parametrize("trials", [1, chsh._BLOCK - 1, chsh._BLOCK + 1])
     def test_residuals_match_per_trial_loop(self, trials):
@@ -248,7 +250,7 @@ class TestStateIndependentBound:
             sign = 1.0 if k % 2 == 0 else -1.0
             a2 = observable_from_bloch(tuple(sign * c for c in bloch_of(a)), "a2")
             sc = Scenario(a, a2, random_observable(rng, "b1"), random_observable(rng, "b2"))
-            assert check_state_independent_bound(sc)
+            assert not analyze(sc).violates
             assert max_s_over_states(sc) <= 2.0 + 1e-9
 
     def test_compatible_b_side_never_violates(self):
@@ -256,10 +258,10 @@ class TestStateIndependentBound:
         for _ in range(500):
             b = random_observable(rng, "b1")
             sc = Scenario(random_observable(rng, "a1"), random_observable(rng, "a2"), b, b)
-            assert check_state_independent_bound(sc)
+            assert not analyze(sc).violates
 
     def test_optimal_scenario_violates(self):
-        assert not check_state_independent_bound(optimal_scenario())
+        assert analyze(optimal_scenario()).violates
 
 
 class TestSValue:
@@ -436,16 +438,22 @@ class TestCommutatorNorms:
             assert abs(ca - 2.0 * abs(np.sin(t2 - t1))) < 1e-10
 
 
-def test_random_bloch_vectors_unit_length():
-    vecs = random_bloch_vectors(99, 500)
-    norms = np.linalg.norm(vecs, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
+def test_sphere_rows_are_unit_pauli_vectors():
+    # the draws are written as Pauli vectors (0, n) with no unit check, so
+    # |n|^2 must sit far inside BLOCH_UNIT_TOL: over 10**5 draws and at the
+    # ends of [0, 1)
+    below_one = np.nextafter(1.0, 0.0)
+    edges = np.array([[0.0, 0.0], [below_one, below_one], [0.0, below_one], [below_one, 0.0]])
+    for u in (rng.uniforms(99, 2 * 10**5).reshape(10**5, 2), edges):
+        paulis = chsh._sphere(u.reshape(-1))
+        assert paulis.shape == (len(u), 4)
+        assert paulis[:, 0].tobytes() == np.zeros(len(u)).tobytes()  # +0.0 exactly
+        norm2 = np.sum(paulis[:, 1:] ** 2, axis=1)
+        assert np.max(np.abs(norm2 - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [-5, 1 << 64])
 def test_random_draws_reject_out_of_range_seed(seed):
     # a wrapped seed would silently reuse the stream of seed mod 2**64
-    with pytest.raises(ValueError, match="unsigned 64-bit"):
-        random_bloch_vectors(seed, 4)
     with pytest.raises(ValueError, match="unsigned 64-bit"):
         random_scenario(seed)

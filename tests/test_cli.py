@@ -11,6 +11,8 @@ import pytest
 from chshlab import __version__, bell_state, chsh, cli, fileio, quantum, sampler
 from chshlab.cli import main
 
+from helpers import EDGE_STATES
+
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
 
@@ -181,6 +183,20 @@ class TestSimulate:
         assert main(["simulate", str(scen), "--shots", "100", "--seed", "4"]) == 0
         assert "s_exact" in json.loads(capsys.readouterr().out)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("diag", [diag for diag, _, _ in EDGE_STATES])
+    def test_edge_states_simulate(self, tmp_path, capsys, diag):
+        # a file names unit Bloch vectors only, so the edge pair here is
+        # a1 = b1 = sz; three of the four states put a cell of it outside [0, 1]
+        state = {"matrix": [[[x if i == j else 0.0, 0.0] for j in range(4)] for i, x in enumerate(diag)]}
+        scen = str(write_scenario(tmp_path / "edge.json", state=state, b1={"bloch": [0.0, 0.0, 1.0]}))
+        assert main(["analyze", scen]) == 0
+        capsys.readouterr()
+        assert main(["simulate", scen, "--shots", "1000", "--seed", "7"]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+        counts = json.loads(text)["result"]["counts"]
+        assert [c["pp"] + c["pm"] + c["mp"] + c["mm"] for c in counts] == [1000] * 4
 
     def test_seed_range_checked(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "opt.json")

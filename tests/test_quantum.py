@@ -7,7 +7,10 @@ import pytest
 
 from chshlab import (
     DensityMatrix,
+    Mixture,
     Observable,
+    PlanarSettings,
+    RunConfig,
     Scenario,
     bell_state,
     bloch_of,
@@ -20,6 +23,7 @@ from chshlab import (
     s_value,
     sample_pair,
 )
+from chshlab import quantum
 from chshlab.linalg import hermitian_eigen
 from chshlab.quantum import (
     BELL_STATE_NAMES,
@@ -36,8 +40,10 @@ from chshlab.quantum import (
 )
 
 from helpers import (
+    EDGE_STATES,
     as_array,
     born_joint,
+    diagonal_state,
     expectation,
     frobenius,
     kron_trace,
@@ -166,6 +172,34 @@ class TestObservable:
         assert 0 < accepted < len(cases)
 
 
+class TestValidatedRecordsAreFrozen:
+    """A field rebound after construction would skip the record's checks, as
+    for `Observable` and `DensityMatrix`."""
+
+    def test_scenario(self):
+        sz = observable_from_bloch((0, 0, 1))
+        sc = Scenario(sz, sz, sz, sz, state=bell_state("psi_minus"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.state = np.eye(4) / 4
+
+    def test_run_config(self):
+        sz = observable_from_bloch((0, 0, 1))
+        cfg = RunConfig(Scenario(sz, sz, sz, sz, state=bell_state("psi_minus")), 10, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.shots_per_pair = 0
+
+    def test_mixture(self):
+        mix = Mixture(np.full(16, 1.0 / 16.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mix.weights = np.full(16, 0.5)
+
+    def test_planar_settings(self):
+        ps = PlanarSettings(-1.0, 7.0, 0.5, 0.0)
+        assert ps.as_tuple() == (2.0 * np.pi - 1.0, 7.0 - 2.0 * np.pi, 0.5, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ps.alpha1 = 100.0
+
+
 class TestStates:
     def test_bell_states_pure_unit_trace(self):
         for name in BELL_STATE_NAMES:
@@ -264,10 +298,11 @@ class TestJointDistribution:
 
     @pytest.mark.parametrize("cells, message", [
         ((2, 0, 0, 0), "probabilities out of range: [2.0, 0.0, 0.0, 0.0]"),
-        ((-2e-12, 0.5, 0.5, 0.0), "probabilities out of range: [-2e-12, 0.5, 0.5, 0.0]"),
+        ((-3e-10, 0.5, 0.5, 3e-10), "probabilities out of range: [-3e-10, 0.5, 0.5, 3e-10]"),
         ((1, 1, 0, 0), "probabilities must sum to 1, got 2.0"),
         ((np.float64(0.3),) * 4, "probabilities must sum to 1, got 1.2"),
         ((-0.0,) * 4, "probabilities must sum to 1, got 0.0"),
+        ((1.0 + 5e-10, 0.0, 0.0, -5e-10), "probabilities out of range: [1.0000000005, 0.0, 0.0, -5e-10]"),
     ])
     def test_messages(self, cells, message):
         with pytest.raises(ValueError) as exc:
@@ -286,6 +321,30 @@ class TestJointDistribution:
             else:
                 with pytest.raises(ValueError, match="sum to 1"):
                     JointDistribution(*p.tolist())
+
+    def test_cell_bounds_follow_the_state_tolerances(self):
+        # lowest: a rank-2 projector on two eigenvalues at the floor; highest: a
+        # rank-1 projector on the top eigenvalue of a state whose other three
+        # sit at the floor, at the largest trace; 1e-12 more for rounding
+        floor, tol = quantum._EIGENVALUE_FLOOR, quantum._TRACE_TOL
+        lo, hi = 2.0 * floor - 1e-12, 1.0 + tol - 3.0 * floor + 1e-12
+        rest = (-1.5e-10,) * 3
+        JointDistribution(lo, 0.5, 0.5, -lo)
+        JointDistribution(hi, *rest)
+        for cells in ((np.nextafter(lo, -1.0), 0.5, 0.5, -lo), (np.nextafter(hi, 2.0), *rest)):
+            with pytest.raises(ValueError, match="out of range"):
+                JointDistribution(*cells)
+
+    @pytest.mark.parametrize("diag, a, b", EDGE_STATES)
+    def test_edge_states_pass(self, diag, a, b):
+        # the cells of every accepted state pass, including those that leave [0, 1]
+        rho = diagonal_state(diag)
+        cells = as_array(joint_distribution(rho, Observable(a), Observable(b)))
+        assert cells.min() < -1e-12 or cells.max() > 1.0 + 1e-12
+        pa = [(IDENTITY_2 + s * Observable(a).matrix) / 2 for s in (1, -1)]
+        pb = [(IDENTITY_2 + s * Observable(b).matrix) / 2 for s in (1, -1)]
+        want = [np.trace(rho.matrix @ np.kron(p, q)).real for p in pa for q in pb]
+        assert np.allclose(cells, want, rtol=0.0, atol=1e-15)
 
     def test_singlet_perfect_anticorrelation(self):
         sz = observable_from_bloch((0, 0, 1))
@@ -482,6 +541,24 @@ class TestBlochUnitCheck:
         assert got[0] == "accepts"
         assert got == outcome(bloch_settings, n)
         assert np.signbit(observable_from_bloch(n).pauli).tolist() == [False, *np.signbit(n)]
+
+
+    @pytest.mark.parametrize("n, want", [
+        ([0.6, 0.0, 0.8], "0000000000000000333333333333e33f00000000000000009a9999999999e93f"),
+        ((0, -1, 0), "00000000000000000000000000000000000000000000f0bf0000000000000000"),
+        (np.array([0.0, -0.6, 0.8]), "00000000000000000000000000000000333333333333e3bf9a9999999999e93f"),
+        ([0.6, 0.0, 0.9], "bloch vectors must have unit length, got |n|^2 = 1.17"),
+        ((1, 1, 0), "bloch vectors must have unit length, got |n|^2 = 2.0"),
+        (np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+         "observable 'x': expected a Pauli 4-vector, got shape (2, 4)"),
+        (np.array([[0.0, 0.0, 1.0], [1.0, 0.1, 0.0]]),
+         "bloch vectors must have unit length, got |n|^2 = 1.01"),
+    ], ids=["list", "int-tuple", "array", "list-not-unit", "int-tuple-not-unit", "stack", "stack-not-unit"])
+    def test_other_forms_keep_their_bytes_and_messages(self, n, want):
+        # every input but a tuple of three floats goes through `bloch_settings`;
+        # the Pauli bytes and messages are pinned from the earlier per-vector path
+        verdict, got = outcome(lambda v: observable_from_bloch(v, label="x"), n)
+        assert (got.hex() if verdict == "accepts" else got) == want
 
 
 class TestIdentityComponent:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chshlab import rng, sampler
-from chshlab.sampler import _CHUNK
+from chshlab import rng
+from chshlab.rng import _CHUNK
 
 MASK = (1 << 64) - 1
 WINDOW = 1 << 16  # windows below, at and across multiples of this size
@@ -139,10 +139,11 @@ def test_seed_outside_64_bits_rejected(seed):
 @pytest.mark.parametrize("seed", [0, MASK])
 @pytest.mark.parametrize("size", [1, 7, _CHUNK])
 @pytest.mark.parametrize("extra", ["1", "size-1", "size", "3size+5"])
-def test_blocks_concatenate_to_the_stream(seed, size, extra):
+def test_blocks_concatenate_to_the_stream(seed, size, extra, monkeypatch):
     # the walker reuses one buffer, so each block is copied before the next
+    monkeypatch.setattr(rng, "_CHUNK", size)
     n = {"1": 1, "size-1": size - 1, "size": size, "3size+5": 3 * size + 5}[extra]
-    blocks = [b.copy() for b in rng._blocks(seed, n, size)]
+    blocks = [b.copy() for b in rng._blocks(seed, n)]
     assert [len(b) for b in blocks] == [min(size, n - k) for k in range(0, n, size)]
     got = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint64)
     assert got.dtype == np.uint64
@@ -152,7 +153,7 @@ def test_blocks_concatenate_to_the_stream(seed, size, extra):
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_blocks_reject_out_of_range_seed(seed):
     with pytest.raises(ValueError, match="unsigned 64-bit") as walker:
-        next(rng._blocks(seed, 10, 4))
+        next(rng._blocks(seed, 10))
     with pytest.raises(ValueError, match="unsigned 64-bit") as direct:
         rng.raw64(seed, 10)
     assert str(walker.value) == str(direct.value)
@@ -165,10 +166,10 @@ def test_negative_start_rejected():
 
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_step_table_walk_at_the_chunk_edges(n):
-    # one block of sampler._CHUNK steps comes from the import-time table
+    # one block of _CHUNK steps comes from the import-time table
     assert rng._STEP_TABLE.size == _CHUNK
     seed = 0x5EED
-    got = np.concatenate([b.copy() for b in rng._blocks(seed, n, _CHUNK)])
+    got = np.concatenate([b.copy() for b in rng._blocks(seed, n)])
     assert np.array_equal(got, rng.raw64(seed, n))
 
 
@@ -177,20 +178,6 @@ def test_step_table_is_read_only_and_unchanged_by_walks():
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[1] = 0
-    for block in rng._blocks(3, 2 * _CHUNK + 1, _CHUNK):
+    for block in rng._blocks(3, 2 * _CHUNK + 1):
         block[:] = 0  # a caller may overwrite each block it is given
     assert np.array_equal(table, rng._steps(_CHUNK))
-
-
-@pytest.mark.parametrize("n", [1, 2 * _CHUNK - 1, 2 * _CHUNK + 3, 5 * _CHUNK])
-def test_blocks_longer_than_the_step_table(n, monkeypatch):
-    # a block size above the table computes its own steps
-    monkeypatch.setattr(sampler, "_CHUNK", 2 * _CHUNK)
-    got = np.concatenate([b.copy() for b in rng._blocks(11, n, sampler._CHUNK)])
-    assert np.array_equal(got, rng.raw64(11, n))
-    # and the sampler's counts are those of the stream itself
-    limits = [1 << 51, 1 << 52, 3 << 51]
-    t = rng.raw64(11, n) >> np.uint64(11)
-    below = [int(np.count_nonzero(t < np.uint64(lim))) for lim in limits]
-    want = sampler.PairCounts(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
-    assert sampler._count(limits, n, 11) == want

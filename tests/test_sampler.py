@@ -19,10 +19,11 @@ from chshlab import (
 )
 from chshlab import rng, sampler
 from chshlab.fileio import run_result_to_dict
-from chshlab.quantum import DensityMatrix, _born_cells, pauli_correlations
-from chshlab.sampler import _CHUNK
+from chshlab.quantum import DensityMatrix, Observable, _born_cells, pauli_correlations
+from chshlab.rng import _CHUNK
 
-from helpers import as_array, random_density, random_pure_density, random_scenario
+from helpers import (EDGE_STATES, as_array, diagonal_state, random_density, random_pure_density,
+                     random_scenario)
 
 
 def optimal_scenario(state):
@@ -89,7 +90,7 @@ class TestSamplePair:
         # the threshold counts must equal the inverse-CDF lookup of each uniform,
         # bit for bit, within one block and across block boundaries, whatever
         # the block size
-        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
         rng_np = np.random.default_rng(75)
         sz = observable_from_bloch((0, 0, 1))
         phi = bell_state("phi_plus")  # two cells of exact probability zero
@@ -296,7 +297,7 @@ class TestStackedRun:
 
     @pytest.mark.parametrize("chunk", [1, 7, _CHUNK], ids=["1", "7", "default"])
     def test_run_equals_per_pair_loop(self, chunk, monkeypatch):
-        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
         rng_np = np.random.default_rng(77)
         sz = observable_from_bloch((0, 0, 1))
         sx = observable_from_bloch((1, 0, 0))
@@ -355,3 +356,26 @@ class TestStackedRun:
         sc = Scenario(**settings, state=bell_state("psi_minus"))
         with pytest.raises(ValueError, match="out of range"):
             run_experiment(RunConfig(sc, shots_per_pair=10, seed=1))
+
+    @pytest.mark.parametrize("diag, a, b", EDGE_STATES)
+    def test_edge_states_sample(self, diag, a, b):
+        # every state DensityMatrix accepts runs, even where a Born cell leaves
+        # [0, 1] by a tolerance; each pair counts as the inverse-CDF reference
+        state = diagonal_state(diag)
+        sa, sb = Observable(a), Observable(b)
+        sc = Scenario(sa, sa, sb, sb, state=state)
+        r = run_experiment(RunConfig(sc, shots_per_pair=1000, seed=7))
+        for i, counts in enumerate(r.counts):
+            assert counts.total == 1000
+            assert counts == inverse_cdf_counts(state, sa, sb, 1000, rng.child_seed(7, i))
+
+
+@pytest.mark.parametrize("n", [1, 2 * _CHUNK - 1, 2 * _CHUNK + 3, 5 * _CHUNK])
+def test_counts_are_the_streams_own(n):
+    # over several blocks of the step table, `_count` is the count of the
+    # stream's own top 53 bits below each limit
+    limits = [1 << 51, 1 << 52, 3 << 51]
+    t = rng.raw64(11, n) >> np.uint64(11)
+    below = [int(np.count_nonzero(t < np.uint64(lim))) for lim in limits]
+    want = PairCounts(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
+    assert sampler._count(limits, n, 11) == want
