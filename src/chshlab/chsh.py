@@ -28,7 +28,9 @@ commutator term (1/4)[a1, a2] x [b1, b2] has the Pauli coefficients
 -(0, u)(0, v)^T, contracted against the same images.  The sign of that term
 is still established numerically, by squaring R(C).  One pass returns R(C),
 M, both commutator norms and the identity residuals of both signs; complex C
-is read off R(C) only where it is diagonalized.  `analyze`, `chsh_operator`,
+is read off R(C) only where `_Pass.eigh` diagonalizes it, with no `linalg`
+check, which is for matrices from outside: C is Hermitian by construction.
+`analyze`, `max_s_over_states`, `extremal_eigenstate`, `chsh_operator`,
 `commutator_norms` and `square_identity_residual` run it with N = 1,
 `sweep.incompatibility_sweep` once over all its rows, and
 `verify_identity_sign` on blocks of _BLOCK random trials, drawn for a whole
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, rng
+from . import rng
 from .quantum import PAULI_PRODUCTS, DensityMatrix, Observable, correlation_tensor, pure_state
 
 VIOLATION_TOL = 1e-9
@@ -122,6 +124,11 @@ class _Pass(NamedTuple):
         c.real, c.imag = self.image[:, :4, :4], self.image[:, 4:, :4]
         return c
 
+    def eigh(self):
+        """`np.linalg.eigh` of each C as it is, eigenvalues ascending: Re C sums symmetric
+        images and Im C antisymmetric ones in a fixed order, so C == C^H bit for bit."""
+        return np.linalg.eigh(self.operator)
+
 
 def _chsh_pass(vectors: np.ndarray) -> _Pass:
     """R(C), M, both local commutator norms and both identity residuals of N
@@ -192,7 +199,7 @@ def _s_at(m: np.ndarray, r: np.ndarray) -> float:
 
 def max_s_over_states(sc: Scenario) -> float:
     """sup |S| over all states: 2 ||C||, attained on an extremal eigenstate."""
-    return 2.0 * linalg.operator_norm(chsh_operator(sc))
+    return 2.0 * float(np.abs(_scenario_pass(sc).eigh().eigenvalues).max())
 
 
 def max_s_over_settings(state: DensityMatrix) -> float:
@@ -208,15 +215,14 @@ def extremal_eigenstate(sc: Scenario) -> DensityMatrix:
     """Eigenstate of C with the largest |eigenvalue|.
 
     For traceless settings the spectrum of C is symmetric, so the two ends
-    tie up to rounding; the positive branch wins unless the negative one
-    dominates beyond the rounding scale.
+    tie up to rounding; the positive branch (the last of `eigh`'s ascending
+    columns) wins unless the negative one dominates beyond the rounding scale.
     """
-    eig = linalg.hermitian_eigen(chsh_operator(sc))
-    vals = eig.eigenvalues
-    top, bottom = float(vals[0]), float(vals[-1])
+    vals, vecs = _scenario_pass(sc).eigh()
+    bottom, top = float(vals[0, 0]), float(vals[0, -1])
     scale = max(1.0, abs(top), abs(bottom))
-    col = 0 if abs(top) >= abs(bottom) - 1e-12 * scale else len(vals) - 1
-    return pure_state(eig.eigenvectors[:, col])
+    col = -1 if abs(top) >= abs(bottom) - 1e-12 * scale else 0
+    return pure_state(vecs[0, :, col])
 
 
 @dataclass
@@ -238,7 +244,7 @@ def analyze(sc: Scenario) -> Report:
     norms, the C^2 identity residual at the verified sign, and the
     violation verdict max_s > 2 + 1e-9."""
     p = _scenario_pass(sc)
-    nrm = linalg.operator_norm(p.operator[0])
+    nrm = float(np.abs(p.eigh().eigenvalues).max())
     comm_a, comm_b = p.commutator_norms[0].tolist()
     max_s = 2.0 * nrm
     return Report(

@@ -44,12 +44,13 @@ def classical_min() -> int:
 
 @dataclass(frozen=True, eq=False)
 class Mixture:
-    """Probability weights over the 16 strategies, in enumeration order."""
+    """Probability weights over the 16 strategies, in enumeration order, held as
+    a read-only copy: later writes to the caller's array do not reach them."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != 16:
             raise ValueError(f"mixture needs 16 weights, got {w.shape[0]}")
         if np.any(w < -1e-12):
@@ -57,6 +58,7 @@ class Mixture:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)  # frozen, so no later rebinding skips the checks
 
 

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra for small operators.
+"""Dense complex linear algebra for small operators, checked for matrices that
+come from outside: states (`DensityMatrix`) and tests.
 
 Matrices are square numpy arrays of complex128.  `as_matrix` coerces and
 checks one matrix, `as_stack` a stack (..., n, n) of them; `is_hermitian`
 tests every member of an array that has already been through either.
-`hermitian_eigen` is the one validated entry point to the eigensolver: it
-coerces once, rejects a stack with any non-Hermitian member and hands the
+`hermitian_eigen` is the checked entry point to the eigensolver: it coerces
+once, rejects a stack with any non-Hermitian member and hands the
 symmetrized stack to LAPACK's Hermitian solver in one `np.linalg.eigh` call.
 `operator_norm` takes a stack the same way, so N norms cost one check, one
 symmetrization and one solve.  `commutator` completes the set; products,

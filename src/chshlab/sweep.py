@@ -29,7 +29,7 @@ pick one canonical representative that does not depend on any LAPACK build.
 A sweep is one stacked pass over Pauli vectors (0, sin t, 0, cos t) built
 directly from the angles (`_planar_pauli`; sin^2 + cos^2 is within a few ulp
 of 1, so `bloch_settings`' unit check could never fail on them) plus one
-stacked eigensolve (`linalg.operator_norm` over every row's C);
+stacked eigensolve (`chsh._Pass.eigh` over every row's C, unchecked);
 `optimize_settings` takes its S as 2 <M, R> from the maximizing settings'
 Pauli vectors and the R it already holds, without building a `Scenario`.
 """
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
-from .linalg import operator_norm
 from .quantum import DensityMatrix, Observable
 
 _TWO_PI = 2.0 * np.pi
@@ -183,8 +182,8 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     2||C|| = 2 sqrt(1 + sin phi) and, among those, maximize S at the
     supplied state.  One `chsh._chsh_pass` over every row's Pauli vectors gives
     both local commutator norms, C for the ceiling 2||C|| and M for S = 2 <M, R>
-    at the state; one `operator_norm` call over the stack of C gives every
-    row's ceiling.
+    at the state; one `eigh` call over the stack of C gives every row's
+    ceiling.
     """
     if phi_steps < 2:
         raise ValueError("phi_steps >= 2 required")
@@ -195,7 +194,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     p = _chsh_pass(_planar_pauli([ps.as_tuple() for ps in settings]))
     # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does
     s_values = 2.0 * (p.coefficients.reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
-    max_s = 2.0 * operator_norm(p.operator)  # one stacked eigensolve for every row
+    max_s = 2.0 * np.abs(p.eigh().eigenvalues).max(axis=-1)  # one stacked eigensolve
     rows = [
         SweepRow(phi, ps, comm_a, comm_b, m, s)
         for phi, ps, (comm_a, comm_b), m, s in zip(

@@ -23,9 +23,9 @@ from chshlab import (
     square_identity_residual,
     verify_identity_sign,
 )
-from chshlab import chsh, rng
+from chshlab import chsh, linalg, rng
 from chshlab.chsh import VIOLATION_TOL, SignCheck, random_scenario
-from chshlab.quantum import SIGMA_X, SIGMA_Z
+from chshlab.quantum import SIGMA_X, SIGMA_Z, pure_state
 
 from helpers import (complex_chsh_pass, frobenius, kron_chsh_operator, kron_identity_target,
                      kron_max_s_over_settings, random_density, random_observable,
@@ -308,6 +308,51 @@ class TestMaxSOverStates:
         rng = np.random.default_rng(58)
         for _ in range(500):
             assert max_s_over_states(np_random_scenario(rng)) <= TSIRELSON + 1e-9
+
+
+class TestUncheckedEigensolve:
+    """The kernel's C goes to `np.linalg.eigh` as it is, with no `linalg` check:
+    it equals its adjoint bit for bit, so the checked path, the reference here,
+    gives the same bits."""
+
+    @staticmethod
+    def checked_extremal(sc):
+        # the rule on `linalg.hermitian_eigen`'s descending order
+        eig = linalg.hermitian_eigen(chsh_operator(sc))
+        top, bottom = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
+        scale = max(1.0, abs(top), abs(bottom))
+        col = 0 if abs(top) >= abs(bottom) - 1e-12 * scale else 3
+        return pure_state(eig.eigenvectors[:, col])
+
+    @pytest.mark.parametrize("n", [1, 19, 500, 1024])
+    def test_kernel_operator_is_exactly_hermitian(self, n):
+        c = chsh._chsh_pass(chsh._sphere(rng.child_uniforms(20261019, n, 8))).operator
+        assert np.array_equal(0.5 * (c + c.conj().swapaxes(-2, -1)), c)
+
+    def test_random_scenarios_match_the_checked_path(self):
+        states = (None, bell_state("psi_minus"), maximally_mixed())
+        for k in range(300):
+            sc = random_scenario(k, states[k % 3])
+            nrm = linalg.operator_norm(chsh_operator(sc))
+            assert analyze(sc).chsh_operator_norm == nrm
+            assert max_s_over_states(sc) == 2.0 * nrm
+            assert np.array_equal(extremal_eigenstate(sc).matrix, self.checked_extremal(sc).matrix)
+
+    def test_tied_and_untied_spectra_match_the_checked_path(self):
+        # the planar optimum has the spectrum (-sqrt 2, 0, 0, sqrt 2), its ends
+        # tied up to rounding, and its positive end is psi_minus; an identity
+        # setting makes the spectrum asymmetric
+        sc = optimal_scenario(bell_state("psi_minus"))
+        vals = np.linalg.eigvalsh(chsh_operator(sc))
+        assert np.allclose(vals, [-np.sqrt(2.0), 0.0, 0.0, np.sqrt(2.0)], atol=1e-14)
+        assert frobenius(extremal_eigenstate(sc).matrix - sc.state.matrix) < 1e-12
+        eye = Observable((1.0, 0.0, 0.0, 0.0), "a1")
+        rng_np = np.random.default_rng(66)
+        asymmetric = Scenario(eye, random_observable(rng_np, "a2"), random_observable(rng_np, "b1"),
+                              random_observable(rng_np, "b2"))
+        for case in (sc, asymmetric, all_sz_scenario()):
+            assert np.array_equal(extremal_eigenstate(case).matrix, self.checked_extremal(case).matrix)
+            assert max_s_over_states(case) == 2.0 * linalg.operator_norm(chsh_operator(case))
 
 
 class TestMaxSOverSettings:

@@ -55,6 +55,15 @@ class TestMixtures:
         assert e == (1.0, 1.0, 1.0, 1.0)
         assert mixture_s_value(Mixture(w)) == 2.0
 
+    def test_holds_a_read_only_copy(self):
+        # a later write to the caller's array used to change the validated weights
+        w = np.zeros(16)
+        w[0] = 1.0
+        m = Mixture(w)
+        w[:] = 0.5
+        assert mixture_s_value(m) == 2.0
+        assert not m.weights.flags.writeable
+
     def test_uniform_mixture_uncorrelated(self):
         m = Mixture(np.full(16, 1.0 / 16.0))
         assert np.allclose(mixture_correlations(m), 0.0, atol=1e-15)

@@ -126,6 +126,13 @@ class TestSamplePair:
             tracemalloc.stop()
         assert peak < 8_000_000
 
+    @pytest.mark.parametrize("shots", [10.0, True])
+    def test_shots_type_checked(self, shots):
+        # 10.0 used to fail inside the stream walk, and True ran one shot
+        sz = observable_from_bloch((0, 0, 1))
+        with pytest.raises(ValueError, match=f"shots must be an int, got {shots!r}"):
+            sample_pair(bell_state("psi_minus"), sz, sz, shots, 1)
+
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError, match="shots"):
             sample_pair(bell_state("psi_minus"), observable_from_bloch((0, 0, 1)),

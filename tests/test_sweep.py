@@ -15,6 +15,7 @@ from chshlab import (
     s_value,
     settings_to_scenario,
 )
+from chshlab.chsh import _chsh_pass
 from chshlab.linalg import operator_norm
 from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix, bloch_settings
 from chshlab.sweep import _planar_pauli
@@ -196,6 +197,18 @@ class TestIncompatibilitySweep:
         result = incompatibility_sweep(steps, rho)
         for row in result.rows:
             assert row.max_s == max_s_over_states(settings_to_scenario(row.settings))
+
+    @pytest.mark.parametrize("steps", [2, 19, 181])
+    def test_rows_match_the_checked_eigensolve(self, steps):
+        # the stacked C goes to eigh unchecked: it equals its adjoint bit for
+        # bit, and each row's ceiling is `linalg.operator_norm`'s, the reference
+        for rho in (bell_state("psi_minus"), bell_state("phi_plus"), maximally_mixed()):
+            result = incompatibility_sweep(steps, rho)
+            c = _chsh_pass(_planar_pauli([row.settings.as_tuple() for row in result.rows])).operator
+            assert np.array_equal(0.5 * (c + c.conj().swapaxes(-2, -1)), c)
+            for row in result.rows:
+                sc = settings_to_scenario(row.settings)
+                assert row.max_s == 2.0 * operator_norm(chsh_operator(sc))
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="phi_steps"):
