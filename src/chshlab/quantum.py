@@ -44,8 +44,9 @@ OBSERVABLE_TOL = 1e-10
 BLOCH_UNIT_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
-_CELL_LO = 2.0 * _EIGENVALUE_FLOOR - 1e-12
-_CELL_HI = 1.0 + _TRACE_TOL - 3.0 * _EIGENVALUE_FLOOR + 1e-12
+_EFFECT_SLACK = 0.5 * (math.sqrt(1.0 + OBSERVABLE_TOL) - 1.0)  # delta, see JointDistribution
+_CELL_LO = 2.0 * _EIGENVALUE_FLOOR - _EFFECT_SLACK - 1e-12
+_CELL_HI = 1.0 + _TRACE_TOL - 3.0 * _EIGENVALUE_FLOOR + 2.0 * _EFFECT_SLACK + 1e-12
 
 BELL_STATE_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 _REAL_TYPES = (int, float, np.integer, np.floating)  # bool is an int, so checked apart
@@ -103,46 +104,21 @@ def _real_array(x, what: str) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _unit_length(norm2):
-    """abs(|n|^2 - 1) <= BLOCH_UNIT_TOL, the unit-length check of Bloch vectors,
-    on one squared norm (a float) or an array of them; NaN fails."""
-    return abs(norm2 - 1.0) <= BLOCH_UNIT_TOL
-
-
-def _not_unit(norm2: float) -> ValueError:
-    return ValueError(f"bloch vectors must have unit length, got |n|^2 = {norm2!r}")
-
-
 def observable_from_bloch(n, label: str = "") -> Observable:
-    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z).
-
-    A tuple of three exact floats, as `fileio` passes, is checked in closed
-    form (x*x + y*y + z*z is np.sum(n * n) bit for bit); any other input goes
-    through `bloch_settings`, which gives the same bytes and messages."""
+    """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z),
+    abs(x*x + y*y + z*z - 1) <= BLOCH_UNIT_TOL (NaN fails).  A tuple of three exact
+    floats, as `fileio` passes, is used as it is; any other input must be three
+    ints or floats (`_real_array`)."""
     if not (type(n) is tuple and len(n) == 3 and all(type(v) is float for v in n)):
-        return Observable(bloch_settings(n), label=label)
+        a = _real_array(n, "bloch vectors")
+        if a.shape != (3,):
+            raise ValueError(f"bloch vectors must have shape (3,), got {a.shape}")
+        n = tuple(a.tolist())
     x, y, z = n
     norm2 = x * x + y * y + z * z
-    if not _unit_length(norm2):
-        raise _not_unit(norm2)
+    if not abs(norm2 - 1.0) <= BLOCH_UNIT_TOL:
+        raise ValueError(f"bloch vectors must have unit length, got |n|^2 = {norm2!r}")
     return Observable(np.array((0.0, x, y, z)), label=label)
-
-
-def bloch_settings(vectors) -> np.ndarray:
-    """The Pauli vectors (0, n), shape (..., 4), of unit Bloch vectors n of shape
-    (..., 3): the stacked `observable_from_bloch`.
-
-    Each n must pass `_unit_length`, abs(|n|^2 - 1) <= BLOCH_UNIT_TOL; the
-    M^2 = I residual of (0, n) is then sqrt(2) abs(|n|^2 - 1) <= 1.5e-12, far
-    below OBSERVABLE_TOL.  Entries must be ints or floats (`_real_array`).
-    """
-    n = _real_array(vectors, "bloch vectors")
-    with np.errstate(over="ignore"):  # a component beyond 1e154 fails the check below
-        norm2 = np.sum(n * n, axis=-1)
-    bad = ~_unit_length(norm2)
-    if bad.any():
-        raise _not_unit(float(norm2[bad][0]))
-    return np.concatenate((np.zeros(n.shape[:-1] + (1,)), n), axis=-1)
 
 
 def bloch_of(obs: Observable) -> tuple[float, float, float]:
@@ -219,14 +195,20 @@ def maximally_mixed() -> DensityMatrix:
     return DensityMatrix(np.eye(4, dtype=np.complex128) / 4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointDistribution:
     """Outcome probabilities p(alpha, beta) for one setting pair, in the cell
-    order (+,+), (+,-), (-,+), (-,-) used across the package.
+    order (+,+), (+,-), (-,+), (-,-) used across the package; frozen, so no
+    later rebinding skips the checks.
 
-    A Born cell is tr(rho Pi) for a projector Pi of rank r in {0, 1, 2, 4}; a
-    `DensityMatrix` has eigenvalues >= _EIGENVALUE_FLOOR and trace within
-    _TRACE_TOL of 1, so r * floor <= cell <= 1 + _TRACE_TOL - (4 - r) * floor.
+    A Born cell is tr(rho E), E = E_A x E_B, E_A = (I +- M_a)/2.  An `Observable`
+    has ||M^2 - I||_F <= OBSERVABLE_TOL, which bounds each |lambda^2 - 1|, so E_A
+    and E_B have eigenvalues in [-delta, 1 + delta], delta = _EFFECT_SLACK =
+    (sqrt(1 + OBSERVABLE_TOL) - 1)/2, near 0 or 1 as for a projector: E has r in
+    {0, 1, 2, 4} eigenvalues near 1, all in [-delta (1 + delta), (1 + delta)^2].
+    A `DensityMatrix` has eigenvalues >= _EIGENVALUE_FLOOR and trace within
+    _TRACE_TOL of 1, so to first order in delta (the rest is below 1e-20)
+    r * floor - delta <= cell <= 1 + _TRACE_TOL - (4 - r) * floor + 2 delta.
     Cells must lie in [_CELL_LO, _CELL_HI], the widest of these (r = 2 below,
     r = 1 above) plus 1e-12 for rounding, and sum to 1 within _TRACE_TOL."""
 

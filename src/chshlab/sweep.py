@@ -28,8 +28,8 @@ singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
 pick one canonical representative that does not depend on any LAPACK build.
 A sweep is one stacked pass over Pauli vectors (0, sin t, 0, cos t) built
 directly from the angles (`_planar_pauli`; sin^2 + cos^2 is within a few ulp
-of 1, so `bloch_settings`' unit check could never fail on them) plus one
-stacked eigensolve (`chsh._Pass.eigh` over every row's C, unchecked);
+of 1, so `observable_from_bloch`'s unit check could never fail on them) plus
+one stacked eigensolve (`chsh._Pass.eigh` over every row's C, unchecked);
 `optimize_settings` takes its S as 2 <M, R> from the maximizing settings'
 Pauli vectors and the R it already holds, without building a `Scenario`.
 """
@@ -101,25 +101,24 @@ class OptimizeResult:
     """Maximizing planar settings, with the S value reached there.
 
     The maximizer is exact, so `converged` is always True and `cycles`
-    always 0.  Both stay only because the benchmark's tracer reads them;
-    they can go when it stops.
+    always 0: class constants, not fields.  Both stay only because the
+    benchmark's tracer reads them; they can go when it stops.
     """
 
     settings: PlanarSettings
     s_value: float
-    converged: bool
-    cycles: int
+    converged = True
+    cycles = 0
 
 
 def _planar_pauli(angles) -> np.ndarray:
-    """Pauli vectors (0, sin t, 0, cos t) of x-z angles t, stacked on a new last
-    axis; one float angle, as `fileio` passes, is written directly, with the
-    same np.sin and np.cos."""
-    if type(angles) is float:
-        return np.array((0.0, np.sin(angles), 0.0, np.cos(angles)))
-    t = np.asarray(angles)
-    zero = np.zeros_like(t)
-    return np.stack((zero, np.sin(t), zero, np.cos(t)), axis=-1)
+    """Pauli vectors (0, sin t, 0, cos t) of x-z angles t (one float or any
+    stack), on a new last axis."""
+    t = np.asarray(angles, dtype=np.float64)
+    c = np.zeros(t.shape + (4,))
+    c[..., 1] = np.sin(t)
+    c[..., 3] = np.cos(t)
+    return c
 
 
 def _xz_block(r: np.ndarray) -> list[list[float]]:
@@ -149,8 +148,6 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     return OptimizeResult(
         settings=ps,
         s_value=_s_at(chsh_coefficients(_planar_pauli(ps.as_tuple())), corr),
-        converged=True,
-        cycles=0,
     )
 
 

@@ -23,6 +23,7 @@ def expectation(d) -> float:
 
 
 _I, _Z = (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+_I_EDGE, _Z_EDGE = (1.0 + 3.5e-11, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0 + 3.5e-11)
 # Diagonals of states at the edges of DensityMatrix's tolerances (an eigenvalue
 # below zero, a trace above one), each with a setting pair (Pauli vectors a, b)
 # whose Born cells leave [-1e-12, 1 + 1e-12]; every one of them must sample.
@@ -31,6 +32,10 @@ EDGE_STATES = [
     ((1.0 + 3e-11, -1e-11, -1e-11, -1e-11), _Z, _Z),
     (((1.0 + 5e-11) / 4.0,) * 4, _I, _I),
     ((0.5, -6e-11, 0.5 + 6e-11, 0.0), _I, _Z),
+    # settings at the edge of OBSERVABLE_TOL too: effects (I +- M)/2 with
+    # eigenvalues 1 + 1.75e-11 and -1.75e-11 move the cells a little further
+    ((1.0 + 3.96e-10, -0.99e-10, -0.99e-10, -0.99e-10), _Z_EDGE, _Z_EDGE),
+    ((-0.99e-10, 0.5 + 0.99e-10, -0.99e-10, 0.5 + 0.99e-10), _I_EDGE, _Z_EDGE),
 ]
 
 

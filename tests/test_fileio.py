@@ -19,7 +19,7 @@ from chshlab import (
 )
 from chshlab import fileio
 from chshlab.fileio import FormatError
-from chshlab.quantum import SIGMA_Z, bloch_settings
+from chshlab.quantum import SIGMA_Z
 from chshlab.sampler import PAIR_LABELS
 
 
@@ -70,9 +70,9 @@ class TestScenarioParsing:
             observable_from_bloch([0.0, False, 1.0])
 
     def test_parsed_values_match_the_array_construction_bit_for_bit(self):
-        # plain-float entry gives the bits that a float64 array through
-        # bloch_settings, and a complex matrix filled cell by cell, give:
-        # signed zeros and integer literals included
+        # plain-float entry gives the bits of the Pauli vector (0, n) as a
+        # float64 array, and of a complex matrix filled cell by cell: signed
+        # zeros and integer literals included
         vectors = {"a1": [-0.0, 0, 1], "a2": [0, -1, -0.0], "b1": [0.6, -0.0, -0.8], "b2": [1, 0, 0]}
         rows = [[[0.25, -0.0], [0, 0], [-0.0, 0.125], [0, -0.0]],
                 [[0, 0], [0.25, 0], [0, 0], [0.0, 0]],
@@ -81,7 +81,7 @@ class TestScenarioParsing:
         doc = {**{name: {"bloch": n} for name, n in vectors.items()}, "state": {"matrix": rows}}
         sc, _ = fileio.parse_scenario(json.dumps(doc))
         for name, n in vectors.items():
-            want = bloch_settings(np.array([float(c) for c in n]))
+            want = np.array([0.0, *(float(c) for c in n)])
             assert getattr(sc, name).pauli.tobytes() == want.tobytes()
         want = np.zeros((4, 4), dtype=np.complex128)
         for i, row in enumerate(rows):
@@ -91,9 +91,8 @@ class TestScenarioParsing:
         assert np.signbit(sc.state.matrix.imag[0, 0]) and np.signbit(sc.state.matrix.real[0, 2])
 
     def test_angles_match_the_stacked_construction_bit_for_bit(self):
-        # one float angle skips np.asarray / np.zeros_like / np.stack but keeps
-        # np.sin and np.cos: seeded angles, signed zeros, multiples of 2 pi and
-        # |t| > 1e6 give the stacked bits
+        # one float angle takes the same formula as a stack: seeded angles,
+        # signed zeros, multiples of 2 pi and |t| > 1e6 give the stacked bits
         angles = np.random.default_rng(19).uniform(-10.0, 10.0, 200).tolist()
         angles += [0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 6.0 * np.pi, 1e6 * np.pi,
                    1e6 + 0.5, -3.3e7, 1e15, -1e300, 2.0**60, 5]

@@ -3,7 +3,7 @@ import pytest
 
 from chshlab import linalg
 from chshlab.chsh import _chsh_pass
-from chshlab.quantum import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_settings
+from chshlab.quantum import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from helpers import frobenius, random_hermitian, random_unitary
 
@@ -12,7 +12,7 @@ def random_chsh_operators(rng, n):
     """C of n scenarios with uniformly random settings, shape (n, 4, 4)."""
     v = rng.normal(size=(n, 4, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    return _chsh_pass(bloch_settings(v)).operator
+    return _chsh_pass(np.concatenate((np.zeros((n, 4, 1)), v), axis=-1)).operator  # Pauli (0, v)
 
 
 class TestAsMatrix:

@@ -35,7 +35,6 @@ from chshlab.quantum import (
     SIGMA_Y,
     SIGMA_Z,
     JointDistribution,
-    bloch_settings,
     pauli_correlations,
 )
 
@@ -109,8 +108,6 @@ class TestObservable:
     def test_bloch_input_must_be_ints_or_floats(self, bad):
         with pytest.raises(ValueError, match="real numbers"):
             observable_from_bloch(bad)
-        with pytest.raises(ValueError, match="real numbers"):
-            bloch_settings([bad, (1.0, 0.0, 0.0)] if not isinstance(bad, np.ndarray) else bad)
 
     @pytest.mark.parametrize("bad", [("-1", "0", "0", "0"), (True, False, False, False),
                                      (1, 0, 0, False), np.array([1, 0, 0, 0], dtype=object),
@@ -123,7 +120,8 @@ class TestObservable:
         assert Observable((1, 0, 0, 0)).pauli.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert Observable(np.array([-1, 0, 0, 0])).pauli.tolist() == [-1.0, 0.0, 0.0, 0.0]
         assert observable_from_bloch((0, np.int64(1), 0)).pauli.tolist() == [0.0, 0.0, 1.0, 0.0]
-        assert bloch_settings(np.array([[0, 0, 1]], dtype=np.int32)).tolist() == [[0.0, 0.0, 0.0, 1.0]]
+        int32 = np.array([0, 0, 1], dtype=np.int32)
+        assert observable_from_bloch(int32).pauli.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_label_appears_in_diagnostics(self):
         with pytest.raises(ValueError, match="'b2'"):
@@ -198,6 +196,13 @@ class TestValidatedRecordsAreFrozen:
         assert ps.as_tuple() == (2.0 * np.pi - 1.0, 7.0 - 2.0 * np.pi, 0.5, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ps.alpha1 = 100.0
+
+    def test_joint_distribution(self):
+        sz = observable_from_bloch((0, 0, 1))
+        d = joint_distribution(bell_state("psi_minus"), sz, sz)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.p_pp = 7.0
+        assert (d.p_pp, d.p_mm) == (0.0, 0.0)
 
 
 class TestStates:
@@ -325,9 +330,13 @@ class TestJointDistribution:
     def test_cell_bounds_follow_the_state_tolerances(self):
         # lowest: a rank-2 projector on two eigenvalues at the floor; highest: a
         # rank-1 projector on the top eigenvalue of a state whose other three
-        # sit at the floor, at the largest trace; 1e-12 more for rounding
+        # sit at the floor, at the largest trace.  Effects of observables at
+        # OBSERVABLE_TOL have eigenvalues in [-delta, 1 + delta]: delta more
+        # below (weight 1 on -delta), 2 delta above ((1 + delta)^2); 1e-12 more
+        # for rounding
         floor, tol = quantum._EIGENVALUE_FLOOR, quantum._TRACE_TOL
-        lo, hi = 2.0 * floor - 1e-12, 1.0 + tol - 3.0 * floor + 1e-12
+        delta = 0.5 * (math.sqrt(1.0 + OBSERVABLE_TOL) - 1.0)
+        lo, hi = 2.0 * floor - delta - 1e-12, 1.0 + tol - 3.0 * floor + 2.0 * delta + 1e-12
         rest = (-1.5e-10,) * 3
         JointDistribution(lo, 0.5, 0.5, -lo)
         JointDistribution(hi, *rest)
@@ -455,20 +464,6 @@ class TestPauliCoordinates:
         cb = [np.trace(rho_b @ s).real for s in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)]
         assert np.allclose(r, np.outer(ca, cb), atol=1e-15)
 
-    def test_stacked_bloch_settings_match_single_observables(self):
-        rng = np.random.default_rng(53)
-        vecs = np.array([[random_bloch(rng) for _ in range(4)] for _ in range(50)])
-        paulis = bloch_settings(vecs)
-        assert paulis.shape == (50, 4, 4)
-        for n, c in zip(vecs.reshape(-1, 3), paulis.reshape(-1, 4)):
-            assert np.array_equal(c, observable_from_bloch(n).pauli)
-
-    @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (0.6, 0.0, 0.9), (np.nan, 0.0, 1.0)])
-    def test_stacked_bloch_settings_check_unit_length(self, bad):
-        vecs = np.array([[0.0, 0.0, 1.0], bad])
-        with pytest.raises(ValueError, match="unit length"):
-            bloch_settings(vecs)
-
 
 def bloch_with_norm2(ulps: int) -> tuple[float, float, float]:
     """(x, y, 0.0) whose x*x + y*y + 0.0*0.0 is exactly 1 + ulps spacings of
@@ -498,10 +493,15 @@ ULPS_BELOW = math.floor(BLOCH_UNIT_TOL / 2.0**-53)
 
 
 class TestBlochUnitCheck:
-    """`observable_from_bloch` checks one vector in closed form on three floats,
-    `bloch_settings` a stack with numpy; both use `_unit_length`, so they
-    accept and reject the same vectors with the same message and give the
-    same Pauli vector bit for bit."""
+    """`observable_from_bloch` has one unit check, in closed form on three
+    floats: a tuple of exact floats is used as it is, and every other form is
+    first turned into three floats.  So the tuple, list and array forms of one
+    vector are accepted and rejected alike, with the same message, and give
+    the same Pauli vector bit for bit."""
+
+    @staticmethod
+    def forms(n):
+        return (tuple(n), list(n), np.array(n))
 
     @pytest.mark.parametrize("ulps, accepted", [
         (ULPS_ABOVE, True), (ULPS_ABOVE + 1, False), (-ULPS_BELOW, True), (-ULPS_BELOW - 1, False),
@@ -511,37 +511,41 @@ class TestBlochUnitCheck:
         assert (outcome(observable_from_bloch, base)[0] == "accepts") == accepted
         # every order of the components, as a tuple, a list and an array
         for n in set(itertools.permutations(base)):
-            for form in (n, list(n), np.array(n)):
-                assert outcome(observable_from_bloch, form) == outcome(bloch_settings, form), form
+            want = outcome(observable_from_bloch, n)
+            assert want[0] == ("accepts" if accepted else "rejects")
+            for form in self.forms(n):
+                assert outcome(observable_from_bloch, form) == want, form
 
     @pytest.mark.parametrize("n", [
         (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (math.inf, math.nan, 0.0),
         (1e200, 0.0, 0.0), (0.0, -1e200, 1.0), (1e154, 1e154, 0.0),
     ])
     def test_non_finite_and_huge_components(self, n):
-        for form in (n, list(n), np.array(n)):
-            got = outcome(observable_from_bloch, form)
-            assert got[0] == "rejects"
-            assert got == outcome(bloch_settings, form)
+        want = outcome(observable_from_bloch, n)
+        assert want[0] == "rejects"
+        assert want[1].startswith("bloch vectors must have unit length, got |n|^2 = ")
+        for form in self.forms(n):
+            assert outcome(observable_from_bloch, form) == want
 
     @pytest.mark.parametrize("n", [
         ("1", 0.0, 0.0), (0.0, "0", 1.0), (True, 0.0, 0.0), (0.0, 0.0, True), (1j, 0.0, 0.0),
         (0.0, 0.0, 1.0 + 0.0j), np.array([0.0, 0.0, 1.0 + 0.0j]), np.array([True, False, False]),
     ], ids=repr)
     def test_entries_that_are_not_ints_or_floats(self, n):
-        # library callers can pass anything; neither form casts it to a float
-        got = outcome(observable_from_bloch, n)
-        assert got == ("rejects", "bloch vectors must be real numbers (int or float)")
-        assert got == outcome(bloch_settings, n)
+        # library callers can pass anything; no form casts it to a float (an
+        # array built from a tuple with True would already be a float array)
+        for form in (n, tuple(n), list(n)):
+            got = outcome(observable_from_bloch, form)
+            assert got == ("rejects", "bloch vectors must be real numbers (int or float)"), form
 
     @pytest.mark.parametrize("n", [(0, 0, 1), (-0.0, 0, -1), (0.6, -0.0, 0.8), (np.float64(0.6), 0, 0.8)],
                              ids=repr)
     def test_accepted_forms_agree_bit_for_bit(self, n):
-        got = outcome(observable_from_bloch, n)
-        assert got[0] == "accepts"
-        assert got == outcome(bloch_settings, n)
+        want = outcome(observable_from_bloch, tuple(float(x) for x in n))
+        assert want[0] == "accepts"
+        for form in (n, *self.forms(n)):
+            assert outcome(observable_from_bloch, form) == want, form
         assert np.signbit(observable_from_bloch(n).pauli).tolist() == [False, *np.signbit(n)]
-
 
     @pytest.mark.parametrize("n, want", [
         ([0.6, 0.0, 0.8], "0000000000000000333333333333e33f00000000000000009a9999999999e93f"),
@@ -549,14 +553,16 @@ class TestBlochUnitCheck:
         (np.array([0.0, -0.6, 0.8]), "00000000000000000000000000000000333333333333e3bf9a9999999999e93f"),
         ([0.6, 0.0, 0.9], "bloch vectors must have unit length, got |n|^2 = 1.17"),
         ((1, 1, 0), "bloch vectors must have unit length, got |n|^2 = 2.0"),
-        (np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-         "observable 'x': expected a Pauli 4-vector, got shape (2, 4)"),
-        (np.array([[0.0, 0.0, 1.0], [1.0, 0.1, 0.0]]),
-         "bloch vectors must have unit length, got |n|^2 = 1.01"),
-    ], ids=["list", "int-tuple", "array", "list-not-unit", "int-tuple-not-unit", "stack", "stack-not-unit"])
+        (np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), "bloch vectors must have shape (3,), got (2, 3)"),
+        (np.array([[0.0, 0.0, 1.0], [1.0, 0.1, 0.0]]), "bloch vectors must have shape (3,), got (2, 3)"),
+        (1.0, "bloch vectors must have shape (3,), got ()"),
+        ((0.0, 0.0, 0.0, 1.0), "bloch vectors must have shape (3,), got (4,)"),
+    ], ids=["list", "int-tuple", "array", "list-not-unit", "int-tuple-not-unit", "stack", "stack-not-unit",
+            "scalar", "4-vector"])
     def test_other_forms_keep_their_bytes_and_messages(self, n, want):
-        # every input but a tuple of three floats goes through `bloch_settings`;
-        # the Pauli bytes and messages are pinned from the earlier per-vector path
+        # every input but a tuple of three floats is turned into three floats
+        # first; the Pauli bytes and unit messages are pinned from the earlier
+        # per-vector path, and anything but three numbers is rejected by shape
         verdict, got = outcome(lambda v: observable_from_bloch(v, label="x"), n)
         assert (got.hex() if verdict == "accepts" else got) == want
 

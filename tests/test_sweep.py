@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chshlab import (
+    OptimizeResult,
     PlanarSettings,
     bell_state,
     chsh_operator,
@@ -17,7 +19,7 @@ from chshlab import (
 )
 from chshlab.chsh import _chsh_pass
 from chshlab.linalg import operator_norm
-from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix, bloch_settings
+from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix
 from chshlab.sweep import _planar_pauli
 
 from helpers import frobenius, random_density, random_pure_density
@@ -222,21 +224,25 @@ class TestIncompatibilitySweep:
 
 
 class TestPlanarPauli:
-    """The searches build the Pauli vectors (0, sin t, 0, cos t) directly; they
-    are, bit for bit, what `bloch_settings` makes of (sin t, 0, cos t)."""
+    """The searches and `fileio` build the Pauli vectors (0, sin t, 0, cos t)
+    directly, with one formula for every shape; pinned, bit for bit, against
+    np.stack((0, sin t, 0, cos t)) of the same angles."""
 
     @pytest.mark.parametrize("angles", [
-        [0.0, np.pi / 2.0, 2.0 * np.pi - 1e-15, -1e-300, 1e6, -1e6],
+        [0.0, -0.0, np.pi / 2.0, 2.0 * np.pi - 1e-15, -1e-300, 1e6, -1e6, 2.0 * np.pi, -4.0 * np.pi],
         (0.0, 0.7853981633974483, 3.5342917352885173, 1.9634954084936207),
         np.random.default_rng(150).uniform(-10.0, 10.0, size=(19, 4)),
         np.random.default_rng(151).uniform(-1e3, 1e3, size=(3, 5, 4)),
     ], ids=["edges", "one_scenario", "sweep_stack", "nested_stack"])
     def test_matches_bloch_settings(self, angles):
         t = np.asarray(angles)
-        want = bloch_settings(np.stack((np.sin(t), np.zeros_like(t), np.cos(t)), axis=-1))
+        zero = np.zeros_like(t)
+        want = np.stack((zero, np.sin(t), zero, np.cos(t)), axis=-1)
         got = _planar_pauli(angles)
-        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # signed zeros included
+        for s, w in zip(t.ravel().tolist(), want.reshape(-1, 4)):  # one float angle at a time
+            assert _planar_pauli(s).tobytes() == w.tobytes(), s
 
 
 class TestOptimizeSettings:
@@ -286,6 +292,14 @@ class TestOptimizeSettings:
         assert r1.settings.as_tuple() == r8.settings.as_tuple()
         assert r1.s_value == r8.s_value
         assert (r1.converged, r1.cycles) == (r8.converged, r8.cycles) == (True, 0)
+
+    def test_converged_and_cycles_are_constants(self):
+        # the maximizer is exact: neither is a field, so neither can be set
+        res = optimize_settings(bell_state("psi_minus"))
+        assert [f.name for f in dataclasses.fields(res)] == ["settings", "s_value"]
+        assert repr(res) == f"OptimizeResult(settings={res.settings!r}, s_value={res.s_value!r})"
+        with pytest.raises(TypeError):
+            OptimizeResult(res.settings, res.s_value, converged=False)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="restarts"):
