@@ -33,9 +33,10 @@ check, which is for matrices from outside: C is Hermitian by construction.
 `analyze`, `max_s_over_states`, `extremal_eigenstate`, `chsh_operator`,
 `commutator_norms` and `square_identity_residual` run it with N = 1,
 `sweep.incompatibility_sweep` once over all its rows, and
-`verify_identity_sign` on blocks of _BLOCK random trials, drawn for a whole
-block at once from the child streams of its seed; `_sphere` writes those
-generated settings, and `random_scenario`'s, as Pauli vectors, unchecked.
+`verify_identity_sign` on blocks of _BLOCK = 256 random trials, small enough
+that the allocator keeps every block's temporaries, drawn for a whole block
+at once from the child streams of its seed; `_sphere` writes those generated
+settings, and `random_scenario`'s, as Pauli vectors into one array, unchecked.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ _IMAGES = np.block([[PAULI_PRODUCTS.real, -PAULI_PRODUCTS.imag],
                     [PAULI_PRODUCTS.imag, PAULI_PRODUCTS.real]]).reshape(16, 64)
 _HALVES = _IMAGES.reshape(16, 8, 8)[..., :4].reshape(16, 32)
 _EYE_HALF = np.eye(8, 4).reshape(32)
-# trials per array pass of verify_identity_sign: a block of them peaks at
-# about 2.4 MB under tracemalloc (2.3 kB per trial), at any trial count
-_BLOCK = 1024
+# trials per array pass of verify_identity_sign: R(C) takes 512 B per trial, so
+# a block's largest array is 128 KiB and the allocator keeps every temporary (a
+# 500-trial command takes 0 minor faults against 218 at 1024, and 0.86x the time;
+# 512 took 1.02x and 128 1.04x, where per-block call overhead takes over; 2-core
+# x86-64, numpy 2.4).  50,000 trials peak at 0.57 MB under tracemalloc.
+_BLOCK = 256
 
 # Sign of the commutator term in C^2 = I + sign * (1/4)[a1,a2] x [b1,b2].
 # Fixed by verify_identity_sign() (see also the check-identity CLI command),
@@ -264,10 +268,14 @@ def _sphere(u: np.ndarray) -> np.ndarray:
     """Uniforms (..., 2n) -> the Pauli vectors (0, n), shape (..., n, 4), of n unit
     vectors uniform on the sphere.  |n|^2 = r^2 (cos^2 + sin^2) + z^2 is 1 to a
     few ulp, so the points are written directly, with no unit check."""
-    z = 2.0 * u[..., 0::2] - 1.0
+    out = np.empty((*u.shape[:-1], u.shape[-1] // 2, 4))
+    out[..., 0] = 0.0
+    out[..., 3] = z = 2.0 * u[..., 0::2] - 1.0
     phi = 2.0 * np.pi * u[..., 1::2]
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([np.zeros_like(z), r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    np.multiply(r, np.cos(phi), out=out[..., 1])
+    np.multiply(r, np.sin(phi), out=out[..., 2])
+    return out
 
 
 def random_scenario(seed: int, state: DensityMatrix | None = None) -> Scenario:
@@ -309,12 +317,14 @@ def verify_identity_sign(trials: int = IDENTITY_TRIALS, seed: int = IDENTITY_SEE
     """Brute-force the sign of the C^2 identity over random scenarios.
 
     Trial k is `random_scenario(rng.child_seed(seed, k))` for the unsigned
-    64-bit `seed`.  The trials run _BLOCK at a time, each block one
+    64-bit `seed`; a `trials` or `seed` that is not an int (a bool included)
+    raises ValueError.  The trials run _BLOCK at a time, each block one
     `_chsh_pass`: `rng.child_uniforms` draws the settings of all its child
     streams at once and `_sphere` writes their Pauli vectors.  Records the
     maximum residual of each sign against VIOLATION_TOL; the maxima do not
     depend on where the blocks split.
     """
+    rng._check_int("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     worst = np.zeros(len(_SIGNS))

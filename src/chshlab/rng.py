@@ -49,9 +49,16 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_int(name: str, value) -> None:
+    """The int check of counts and seeds (`sampler`, `chsh`); a bool is rejected too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    """A seed is an int in [0, 2**64); a bool, float, str or numpy integer is not."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -161,6 +168,8 @@ def child_uniforms(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     steps = _steps(n)
     steps += _offset(0, 0)  # counters of outputs 1 .. n at seed 0
     return _unit(_mix(raw64(seed, count, start).view(np.int64)[:, None] + steps))

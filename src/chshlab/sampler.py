@@ -57,12 +57,6 @@ class PairCounts:
         return (self.pp + self.mm - self.pm - self.mp) / self.total
 
 
-def _check_int(name: str, value) -> None:
-    """The int check of `RunConfig` and `sample_pair`; a bool is rejected too."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
@@ -71,7 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("shots_per_pair", "seed"):
-            _check_int(name, getattr(self, name))
+            rng._check_int(name, getattr(self, name))
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair >= 1 required")
         rng._check_seed(self.seed)
@@ -99,7 +93,7 @@ def sample_pair(
 ) -> PairCounts:
     """Draw i.i.d. joint outcomes for one setting pair from stream `seed`:
     the one-pair case of `run_experiment`'s table and counting."""
-    _check_int("shots", shots)
+    rng._check_int("shots", shots)
     if shots < 1:
         raise ValueError("shots >= 1 required")
     cells = _born_cells(rho.correlations, a.pauli[None], b.pauli[None])

@@ -24,7 +24,7 @@ from chshlab import (
     verify_identity_sign,
 )
 from chshlab import chsh, linalg, rng
-from chshlab.chsh import VIOLATION_TOL, SignCheck, random_scenario
+from chshlab.chsh import IDENTITY_SEED, VIOLATION_TOL, SignCheck, random_scenario
 from chshlab.quantum import SIGMA_X, SIGMA_Z, pure_state
 
 from helpers import (complex_chsh_pass, frobenius, kron_chsh_operator, kron_identity_target,
@@ -150,7 +150,8 @@ class TestBlockedIdentityCheck:
             sc = random_scenario(rng.child_seed(seed, start + k))
             assert paulis.tobytes() == np.array([o.pauli for o in sc.observables()]).tobytes()
 
-    @pytest.mark.parametrize("trials", [1, chsh._BLOCK - 1, chsh._BLOCK + 1])
+    # one block, either side of a block edge, and several blocks
+    @pytest.mark.parametrize("trials", [1, chsh._BLOCK - 1, chsh._BLOCK + 1, 1023, 1025])
     def test_residuals_match_per_trial_loop(self, trials):
         seed = 8675309
         loop = np.zeros(2)
@@ -170,6 +171,13 @@ class TestBlockedIdentityCheck:
         assert abs(check.max_residual_plus - 3.99989188491558) <= 1e-12
         assert check.max_residual_minus <= 2e-15
 
+    @pytest.mark.parametrize("trials", [255, 256, 257, 500])
+    def test_maxima_around_one_block_are_pinned(self, trials):
+        # the maxima these counts gave as one block of 1024 trials, bit for bit
+        check = verify_identity_sign(trials, IDENTITY_SEED)
+        assert check.max_residual_plus == 3.9978479195160923
+        assert check.max_residual_minus == 1.2055916925684481e-15
+
     def test_result_does_not_depend_on_block_edges(self, monkeypatch):
         want = verify_identity_sign(300, 99)
         for block in (1, 7, 299):
@@ -185,7 +193,7 @@ class TestBlockedIdentityCheck:
         finally:
             tracemalloc.stop()
         assert check.verified_sign == -1
-        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestSquareIdentity:
@@ -236,10 +244,17 @@ class TestSquareIdentity:
         assert check.plus_ok and check.minus_ok
         assert check.verified_sign is None
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 3.5, "7", True])
     def test_verify_identity_sign_seed_range(self, seed):
-        with pytest.raises(ValueError, match="unsigned 64-bit"):
+        # a float or str used to fail inside the mixer, and True ran as seed 1
+        with pytest.raises(ValueError, match="unsigned 64-bit integer, got"):
             verify_identity_sign(trials=1, seed=seed)
+
+    @pytest.mark.parametrize("trials", [10.0, True, "5", None])
+    def test_verify_identity_sign_trials_type(self, trials):
+        # 10.0 used to fail in range() and True to run as SignCheck(trials=True)
+        with pytest.raises(ValueError, match=f"^trials must be an int, got {trials!r}$"):
+            verify_identity_sign(trials=trials)
 
 
 class TestStateIndependentBound:
@@ -497,7 +512,7 @@ def test_sphere_rows_are_unit_pauli_vectors():
         assert np.max(np.abs(norm2 - 1.0)) <= 1e-15
 
 
-@pytest.mark.parametrize("seed", [-5, 1 << 64])
+@pytest.mark.parametrize("seed", [-5, 1 << 64, 3.5, "7", True])
 def test_random_draws_reject_out_of_range_seed(seed):
     # a wrapped seed would silently reuse the stream of seed mod 2**64
     with pytest.raises(ValueError, match="unsigned 64-bit"):

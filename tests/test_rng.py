@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ def test_child_uniforms_checks_its_arguments():
         rng.child_uniforms(3, 2, -1)
     with pytest.raises(ValueError, match="unsigned 64-bit"):
         rng.child_uniforms(MASK + 1, 2, 8)
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        rng.child_uniforms(3, -2, 8)
+
+
+@pytest.mark.parametrize("seed", [3.5, 7.0, "7", True, False, np.int64(7), np.uint64(7), None])
+def test_seed_of_another_type_rejected(seed):
+    # a float or str used to fail deep inside the mixer with a TypeError, and
+    # a bool ran as seed 0 or 1
+    message = re.escape(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    for draw in (lambda: rng.raw64(seed, 2), lambda: rng.uniforms(seed, 2),
+                 lambda: rng.child_seed(seed, 0), lambda: rng.child_uniforms(seed, 2, 8),
+                 lambda: next(rng._blocks(seed, 2))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            draw()
 
 
 def test_counter_prefix_property():

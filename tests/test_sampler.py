@@ -106,9 +106,10 @@ class TestSamplePair:
                 assert sample_pair(state, obs_a, sz, shots, seed) == want
             assert want == PairCounts(shots, 0, 0, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 3.5, True])
     def test_rejects_out_of_range_seed(self, seed):
-        # seed -1 used to wrap to 2**64 - 1 and reuse that stream
+        # seed -1 used to wrap to 2**64 - 1 and reuse that stream, 3.5 failed
+        # inside the stream walk, and True ran as seed 1
         sz = observable_from_bloch((0, 0, 1))
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             sample_pair(bell_state("psi_minus"), sz, sz, 10, seed)
