@@ -55,11 +55,6 @@ class FormatError(Exception):
     """Malformed document structure (as opposed to invalid physics input)."""
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise FormatError(msg)
-
-
 def _number(value) -> float | None:
     """A JSON number as a float, or None: strings, booleans and integers beyond
     the float range are not numbers."""
@@ -71,10 +66,6 @@ def _number(value) -> float | None:
     return None
 
 
-def _not_a_number(where: str) -> FormatError:
-    return FormatError(f"{where}: expected a number")
-
-
 def observable_from_spec(spec, name: str) -> Observable:
     if not isinstance(spec, dict):
         raise FormatError(f"{name}: expected an object")
@@ -84,7 +75,7 @@ def observable_from_spec(spec, name: str) -> Observable:
             raise FormatError(f"{name}.bloch: expected three numbers")
         n = tuple(map(_number, vec))  # three floats: checked here, once
         if None in n:
-            raise _not_a_number(f"{name}.bloch")
+            raise FormatError(f"{name}.bloch: expected a number")
         try:
             return observable_from_bloch(n, label=name)
         except ValueError as exc:
@@ -92,7 +83,7 @@ def observable_from_spec(spec, name: str) -> Observable:
     if "angle" in spec:
         t = _number(spec["angle"])
         if t is None:
-            raise _not_a_number(f"{name}.angle")
+            raise FormatError(f"{name}.angle: expected a number")
         if not math.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
         return Observable(_planar_pauli(t), label=name)
@@ -110,9 +101,11 @@ def state_from_spec(spec) -> DensityMatrix | None:
         raise ValueError(
             f"state: unknown name {spec!r}; valid names: {', '.join(STATE_NAMES)}"
         )
-    _require(isinstance(spec, dict) and "matrix" in spec, "state: expected a name or a 'matrix' object")
+    if not (isinstance(spec, dict) and "matrix" in spec):
+        raise FormatError("state: expected a name or a 'matrix' object")
     rows = spec["matrix"]
-    _require(isinstance(rows, list) and len(rows) == 4, "state.matrix: expected 4 rows")
+    if not (isinstance(rows, list) and len(rows) == 4):
+        raise FormatError("state.matrix: expected 4 rows")
     parts = []  # re, im, re, im, ... row by row
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 4):
@@ -122,7 +115,7 @@ def state_from_spec(spec) -> DensityMatrix | None:
                 raise FormatError(f"state.matrix[{i}][{j}]: expected an [re, im] pair")
             real, imag = _number(cell[0]), _number(cell[1])
             if real is None or imag is None:
-                raise _not_a_number(f"state.matrix[{i}][{j}]")
+                raise FormatError(f"state.matrix[{i}][{j}]: expected a number")
             parts += (real, imag)
     try:
         return DensityMatrix(np.array(parts).view(np.complex128).reshape(4, 4))
@@ -131,7 +124,8 @@ def state_from_spec(spec) -> DensityMatrix | None:
 
 
 def scenario_from_dict(doc) -> Scenario:
-    _require(isinstance(doc, dict), "scenario: expected a JSON object")
+    if not isinstance(doc, dict):
+        raise FormatError("scenario: expected a JSON object")
     obs = {}
     for name in ("a1", "a2", "b1", "b2"):
         if name not in doc:

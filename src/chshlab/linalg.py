@@ -1,16 +1,14 @@
 """Dense complex linear algebra for small operators, checked for matrices that
 come from outside: states (`DensityMatrix`) and tests.
 
-Matrices are square numpy arrays of complex128.  `as_matrix` coerces and
-checks one matrix, `as_stack` a stack (..., n, n) of them; `is_hermitian`
-tests every member of an array that has already been through either.
-`hermitian_eigen` is the checked entry point to the eigensolver: it coerces
-once, rejects a stack with any non-Hermitian member and hands the
-symmetrized stack to LAPACK's Hermitian solver in one `np.linalg.eigh` call.
-`operator_norm` takes a stack the same way, so N norms cost one check, one
-symmetrization and one solve.  `commutator` completes the set; products,
-adjoints and Kronecker products are plain numpy (`@`, `.conj().T`,
-`np.kron`).
+Each function works on one square complex128 matrix.  `as_matrix`
+coerces and checks it; `is_hermitian` tests a matrix that has already been
+through `as_matrix`.  `hermitian_eigen` is the checked entry point to the
+eigensolver: it coerces once, rejects a non-Hermitian matrix and hands the
+symmetrized matrix to LAPACK's Hermitian solver (`np.linalg.eigh`).
+`operator_norm` is the largest |eigenvalue| of that solve, and `commutator`
+completes the set; products, adjoints and Kronecker products are plain
+numpy (`@`, `.conj().T`, `np.kron`).
 """
 
 from __future__ import annotations
@@ -22,39 +20,25 @@ import numpy as np
 HERMITIAN_RTOL = 1e-10
 
 
-def as_stack(m) -> np.ndarray:
-    """Coerce to a stack (..., n, n) of square complex128 matrices with finite
-    entries; a single matrix is the stack with no leading axes."""
+def as_matrix(m) -> np.ndarray:
+    """Coerce to one square complex128 matrix with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to one square complex128 matrix with finite entries."""
-    a = as_stack(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-2, -1)
-
-
-def is_hermitian(a: np.ndarray) -> np.ndarray:
-    """||a - a^H||_F <= HERMITIAN_RTOL * max(1, ||a||_F) for each matrix of a
-    stack `a` (the output of `as_matrix` or `as_stack`; not coerced again
-    here), as a bool array of shape a.shape[:-2].
+def is_hermitian(a: np.ndarray) -> bool:
+    """||a - a^H||_F <= HERMITIAN_RTOL * max(1, ||a||_F) for the output `a` of
+    `as_matrix` (not coerced again here).
 
     The norms reduce |entries| with `np.hypot`, which scales each step, so
     no square overflows.
     """
-    skew, size = (np.hypot.reduce(np.abs(x), axis=(-2, -1)) for x in (a - _adjoint(a), a))
-    return skew <= HERMITIAN_RTOL * np.maximum(1.0, size)
+    skew, size = (np.hypot.reduce(np.abs(x), axis=None) for x in (a - a.conj().T, a))
+    return bool(skew <= HERMITIAN_RTOL * max(1.0, size))
 
 
 def commutator(x, y) -> np.ndarray:
@@ -68,30 +52,27 @@ def commutator(x, y) -> np.ndarray:
 
 class EigenDecomposition(NamedTuple):
     """The pair (eigenvalues, eigenvectors): eigenvalues in descending order,
-    eigenvectors as matching columns (per matrix, for a stack)."""
+    eigenvectors as matching columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def hermitian_eigen(m) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
-    stack (..., n, n), by LAPACK (`np.linalg.eigh`, one call per stack).
+    """Full eigendecomposition of a Hermitian matrix by LAPACK
+    (`np.linalg.eigh`).
 
-    Every matrix is checked against HERMITIAN_RTOL relative to
-    max(1, ||m||_F) and the stack is symmetrized before the solve.  Raises
-    ValueError if any member is not Hermitian.  Eigenvalues have shape
-    (..., n), eigenvectors (..., n, n).
+    The matrix is checked against HERMITIAN_RTOL relative to max(1, ||m||_F)
+    and symmetrized before the solve.  Raises ValueError if it is not
+    Hermitian.
     """
-    a = as_stack(m)
-    if not is_hermitian(a).all():
+    a = as_matrix(m)
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (a + _adjoint(a)))
-    return EigenDecomposition(eigenvalues=vals[..., ::-1], eigenvectors=vecs[..., ::-1])
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return EigenDecomposition(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
 
 
-def operator_norm(m):
-    """Spectral norm max |eigenvalue| of a Hermitian matrix (a float), or of
-    each matrix of a stack (..., n, n) (an array of shape (...))."""
-    nrm = np.abs(hermitian_eigen(m).eigenvalues).max(axis=-1)
-    return float(nrm) if nrm.ndim == 0 else nrm
+def operator_norm(m) -> float:
+    """Spectral norm max |eigenvalue| of a Hermitian matrix."""
+    return float(np.abs(hermitian_eigen(m).eigenvalues).max())

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
 from .quantum import DensityMatrix, Observable
 
@@ -182,6 +183,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     at the state; one `eigh` call over the stack of C gives every row's
     ceiling.
     """
+    rng._check_int("phi_steps", phi_steps)
     if phi_steps < 2:
         raise ValueError("phi_steps >= 2 required")
     corr = state.correlations

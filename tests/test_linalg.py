@@ -1,18 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from chshlab import linalg
-from chshlab.chsh import _chsh_pass
 from chshlab.quantum import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from helpers import frobenius, random_hermitian, random_unitary
-
-
-def random_chsh_operators(rng, n):
-    """C of n scenarios with uniformly random settings, shape (n, 4, 4)."""
-    v = rng.normal(size=(n, 4, 3))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    return _chsh_pass(np.concatenate((np.zeros((n, 4, 1)), v), axis=-1)).operator  # Pauli (0, v)
 
 
 class TestAsMatrix:
@@ -177,36 +171,8 @@ class TestOperatorNorm:
 
 
 class TestStacks:
-    """`hermitian_eigen` and `operator_norm` on a stack (..., n, n): one check,
-    one symmetrization and one `eigh` call, member for member what the
-    single-matrix call returns."""
-
-    @pytest.mark.parametrize("n", [1, 5, 19, 1000])
-    def test_chsh_stack_matches_single_calls_bit_for_bit(self, n):
-        stack = random_chsh_operators(np.random.default_rng(n), n)
-        eig = linalg.hermitian_eigen(stack)
-        norms = linalg.operator_norm(stack)
-        assert eig.eigenvalues.shape == (n, 4) and eig.eigenvectors.shape == (n, 4, 4)
-        assert norms.shape == (n,)
-        for k, c in enumerate(stack):
-            single = linalg.hermitian_eigen(c)
-            assert np.array_equal(eig.eigenvalues[k], single.eigenvalues)
-            assert np.array_equal(eig.eigenvectors[k], single.eigenvectors)
-            assert norms[k] == linalg.operator_norm(c)
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_random_hermitian_stack_matches_single_calls(self, dim):
-        rng = np.random.default_rng(40 + dim)
-        stack = np.array([[random_hermitian(rng, dim) for _ in range(3)] for _ in range(2)])
-        eig = linalg.hermitian_eigen(stack)
-        norms = linalg.operator_norm(stack)
-        assert norms.shape == (2, 3)
-        for i in range(2):
-            for j in range(3):
-                single = linalg.hermitian_eigen(stack[i, j])
-                assert np.array_equal(eig.eigenvalues[i, j], single.eigenvalues)
-                assert np.array_equal(eig.eigenvectors[i, j], single.eigenvectors)
-                assert norms[i, j] == linalg.operator_norm(stack[i, j])
+    """Every function takes one matrix: a stack (..., n, n) is not a matrix,
+    and a single matrix's results are a float and plain arrays."""
 
     def test_single_matrix_keeps_its_return_types(self):
         nrm = linalg.operator_norm(np.diag([0.5, -2.0]).astype(complex))
@@ -214,24 +180,14 @@ class TestStacks:
         eig = linalg.hermitian_eigen(np.diag([1.0, 3.0, 2.0]).astype(complex))
         assert eig.eigenvalues.tolist() == [3.0, 2.0, 1.0]
         assert np.array_equal(np.abs(eig.eigenvectors), np.eye(3)[:, [1, 2, 0]])
+        # each matrix is judged on its own scale, huge entries included
+        ok = linalg.as_matrix([[1e200, 2e199j], [-2e199j, -3e200]])
+        bad = linalg.as_matrix([[0, 1e200], [0, 0]])
+        assert linalg.is_hermitian(ok) is True and linalg.is_hermitian(bad) is False
 
-    @pytest.mark.parametrize("fn", [linalg.hermitian_eigen, linalg.operator_norm])
-    def test_one_non_hermitian_member_rejects_the_stack(self, fn):
-        stack = random_chsh_operators(np.random.default_rng(7), 19)
-        stack[11, 0, 3] += 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
-            fn(stack)
-
-    def test_huge_members_are_judged_each_on_its_own_scale(self):
-        ok = np.array([[1e200, 2e199j], [-2e199j, -3e200]])
-        bad = np.array([[0, 1e200], [0, 0]], dtype=complex)
-        assert linalg.is_hermitian(np.array([ok, np.eye(2)])).tolist() == [True, True]
-        assert linalg.is_hermitian(np.array([ok, bad, np.eye(2)])).tolist() == [True, False, True]
-        with pytest.raises(ValueError, match="Hermitian"):
-            linalg.operator_norm(np.array([ok, bad]))
-        assert linalg.operator_norm(np.array([ok, np.eye(2)]))[1] == 1.0
-
-    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 2, 4))])
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 2, 4)), np.ones((2, 4, 4))])
     def test_rejects_non_square_stacks(self, bad):
-        with pytest.raises(ValueError, match="square"):
-            linalg.operator_norm(bad)
+        # (2, 4, 4) is a stack of square Hermitian matrices, not one matrix
+        for fn in (linalg.as_matrix, linalg.hermitian_eigen, linalg.operator_norm):
+            with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {bad.shape}")):
+                fn(bad)

@@ -116,6 +116,25 @@ def test_seed_of_another_type_rejected(seed):
             draw()
 
 
+@pytest.mark.parametrize("value", [2.0, 1.5, "2", True, False, np.int64(2), None],
+                         ids=["2.0", "1.5", "str", "True", "False", "numpy-int", "None"])
+@pytest.mark.parametrize("name, draw", [
+    ("n", lambda v: rng.raw64(1, v)),
+    ("start", lambda v: rng.raw64(1, 2, v)),
+    ("n", lambda v: rng.uniforms(1, v)),
+    ("stream index", lambda v: rng.child_seed(1, v)),
+    ("count", lambda v: rng.child_uniforms(1, v, 8)),
+    ("n", lambda v: rng.child_uniforms(1, 2, v)),
+    ("start", lambda v: rng.child_uniforms(1, 2, 8, v)),
+], ids=["raw64-n", "raw64-start", "uniforms-n", "child_seed-index", "child_uniforms-count",
+        "child_uniforms-n", "child_uniforms-start"])
+def test_count_or_index_of_another_type_rejected(name, draw, value):
+    # a float used to draw (uniforms(1, 2.0) gave 2 values) or fail inside `&`
+    # with a TypeError, and a bool ran as 0 or 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an int, got {value!r}')}$"):
+        draw(value)
+
+
 def test_counter_prefix_property():
     # a counter-based stream is length-independent: shorter draws are prefixes
     long = rng.uniforms(31337, 1000)

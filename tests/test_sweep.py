@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,13 @@ class TestIncompatibilitySweep:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="phi_steps"):
             incompatibility_sweep(1, bell_state("psi_minus"))
+
+    @pytest.mark.parametrize("steps", [19.0, "19", True, np.int64(19), None],
+                             ids=["float", "str", "bool", "numpy-int", "none"])
+    def test_steps_of_another_type_rejected(self, steps):
+        # 19.0 and "19" used to raise TypeError from numpy or from `<`
+        with pytest.raises(ValueError, match=f"^phi_steps must be an int, got {re.escape(repr(steps))}$"):
+            incompatibility_sweep(steps, bell_state("psi_minus"))
 
     def test_sign_ties_go_to_plus(self):
         # at I/4 both signs' hypots are 0: beta1 - beta2 = +pi/2 and g = atan2(0, 0) = 0
