@@ -188,7 +188,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (fileio.FormatError, OSError) as exc:
+    except (fileio.FormatError, OSError, UnicodeDecodeError) as exc:  # before ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .quantum import _real_array
+
 
 class Strategy(NamedTuple):
     a1: int
@@ -44,19 +46,19 @@ def classical_min() -> int:
 
 @dataclass(frozen=True, eq=False)
 class Mixture:
-    """Probability weights over the 16 strategies, in enumeration order, held as
-    a read-only copy: later writes to the caller's array do not reach them."""
+    """Probability weights (ints or floats) over the 16 strategies, in enumeration order,
+    held as a read-only copy: later writes to the caller's array do not reach them."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        w = _real_array(self.weights, "mixture weights").flatten()
         if w.shape[0] != 16:
             raise ValueError(f"mixture needs 16 weights, got {w.shape[0]}")
-        if np.any(w < -1e-12):
-            raise ValueError(f"mixture weights must be nonnegative, min {w.min()!r}")
+        if not np.all(w >= -1e-12):  # NaN fails too
+            raise ValueError(f"mixture weights must be nonnegative, min {float(w.min())!r}")
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)  # frozen, so no later rebinding skips the checks

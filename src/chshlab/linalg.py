@@ -21,8 +21,11 @@ HERMITIAN_RTOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to one square complex128 matrix with finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
+    """Coerce to one square complex128 matrix of finite numbers (not bool, str or object)."""
+    a = np.asarray(m)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"matrix entries must be numbers, got dtype {a.dtype}")
+    a = a.astype(np.complex128, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite

@@ -138,7 +138,7 @@ class DensityMatrix:
     correlations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = linalg.as_matrix(np.array(self.matrix, dtype=np.complex128))
+        m = linalg.as_matrix(np.array(self.matrix))  # np.array: the state owns a copy
         if m.shape[0] != 4:
             raise ValueError(f"density matrix must have dim 4, got {m.shape[0]}")
         if not linalg.is_hermitian(m):
@@ -157,8 +157,11 @@ class DensityMatrix:
 
 
 def pure_state(vector) -> DensityMatrix:
-    """Rank-1 projector |v><v| of a normalized state vector."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    """Rank-1 projector |v><v| of a normalized 1-D vector of ints, floats or complex numbers."""
+    v = np.asarray(vector)
+    if v.ndim != 1 or v.dtype.kind not in "iufc":
+        raise ValueError(f"state vector must be 1-D numbers, got shape {v.shape} of {v.dtype}")
+    v = v.astype(np.complex128, copy=False)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state vector must be normalized, got norm {nrm!r}")

@@ -171,9 +171,9 @@ class TestBlockedIdentityCheck:
         assert abs(check.max_residual_plus - 3.99989188491558) <= 1e-12
         assert check.max_residual_minus <= 2e-15
 
-    @pytest.mark.parametrize("trials", [255, 256, 257, 500])
+    @pytest.mark.parametrize("trials", [255, 256, 257, 500, 1023, 1024, 1025])
     def test_maxima_around_one_block_are_pinned(self, trials):
-        # the maxima these counts gave as one block of 1024 trials, bit for bit
+        # the maxima these counts gave in blocks of 1024 trials, bit for bit
         check = verify_identity_sign(trials, IDENTITY_SEED)
         assert check.max_residual_plus == 3.9978479195160923
         assert check.max_residual_minus == 1.2055916925684481e-15

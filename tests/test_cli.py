@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -16,17 +17,49 @@ from helpers import EDGE_STATES
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
 
-def write_scenario(path, state="psi_minus", b1=None):
+def write_scenario(path, state="psi_minus", **settings):
     inv = 1.0 / np.sqrt(2.0)
     doc = {
         "a1": {"bloch": [0.0, 0.0, 1.0]},
         "a2": {"bloch": [1.0, 0.0, 0.0]},
-        "b1": b1 if b1 is not None else {"bloch": [-inv, 0.0, -inv]},
+        "b1": {"bloch": [-inv, 0.0, -inv]},
         "b2": {"bloch": [inv, 0.0, -inv]},
+        **settings,
         "state": state,
     }
     path.write_text(json.dumps(doc))
     return path
+
+
+def diagonal_spec(*diag):
+    return {"matrix": [[[x if i == j else 0.0, 0.0] for j in range(4)] for i, x in enumerate(diag)]}
+
+
+def assert_canonical(text):
+    assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
+
+# the same settings as write_scenario's, with a2 and b2 named by their planar angles
+ANGLES = {"a2": {"angle": 1.5707963267948966}, "b2": {"angle": 2.356194490192345}}
+WERNER = [[0.05, 0, 0, 0], [0, 0.45, -0.4, 0], [0, -0.4, 0.45, 0], [0, 0, 0, 0.05]]
+WERNER_SPEC = {"matrix": [[[x, 0.0] for x in row] for row in WERNER]}
+QUARTER = diagonal_spec(0.25, 0.25, 0.25, 0.25)["matrix"]
+ENTRY_ERRORS = {
+    "bloch_length": ({"a1": {"bloch": [0.9, 0, 0]}}, 2,
+                     "invalid input: a1.bloch: bloch vectors must have unit length"),
+    "string_number": ({"b1": {"bloch": [0, "0", 1]}}, 1, "error: b1.bloch: expected a number"),
+    "short_row": ({"state": {"matrix": [QUARTER[0], QUARTER[1][:3], *QUARTER[2:]]}}, 1,
+                  "error: state.matrix[1]: expected 4 entries"),
+    "bare_number": ({"state": {"matrix": [[[0.25], *QUARTER[0][1:]], *QUARTER[1:]]}}, 1,
+                    "error: state.matrix[0][0]: expected an [re, im] pair"),
+    "negative_eigenvalue": ({"state": diagonal_spec(1.5, -0.5, 0.0, 0.0)}, 2,
+                            "invalid input: state.matrix: density matrix has negative eigenvalue"),
+    "unknown_name": ({"state": "bogus"}, 2, "invalid input: state: unknown name 'bogus'"),
+    # json.dumps writes these as the literals Infinity and NaN
+    "infinite_angle": ({"a2": {"angle": float("inf")}}, 2, "invalid input: a2.angle: must be finite"),
+    "nan_bloch": ({"b1": {"bloch": [float("nan"), 0, 1]}}, 2,
+                  "invalid input: b1.bloch: bloch vectors must have unit length"),
+}
 
 
 def degenerate_scenario(path):
@@ -83,6 +116,22 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{')")
         assert main(["analyze", str(bad)]) == 1
+
+    @pytest.mark.parametrize("command, flags", [("analyze", []), ("simulate", ["--shots", "10"])],
+                             ids=["analyze", "simulate"])
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, capsys, command, flags):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main([command, str(bad), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("change, code, prefix", ENTRY_ERRORS.values(), ids=ENTRY_ERRORS)
+    def test_entry_error_exit_code_and_message(self, tmp_path, capsys, change, code, prefix):
+        scen = write_scenario(tmp_path / "bad.json", **{**ANGLES, **change})
+        assert main(["analyze", str(scen)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(prefix)
 
     def test_non_unit_vector_is_validation_error(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "bad.json", b1={"bloch": [0.5, 0.0, 0.0]})
@@ -188,13 +237,13 @@ class TestSimulate:
     def test_edge_states_simulate(self, tmp_path, capsys, diag):
         # a file names unit Bloch vectors only, so the edge pair here is
         # a1 = b1 = sz; three of the four states put a cell of it outside [0, 1]
-        state = {"matrix": [[[x if i == j else 0.0, 0.0] for j in range(4)] for i, x in enumerate(diag)]}
-        scen = str(write_scenario(tmp_path / "edge.json", state=state, b1={"bloch": [0.0, 0.0, 1.0]}))
+        scen = str(write_scenario(tmp_path / "edge.json", state=diagonal_spec(*diag),
+                                  b1={"bloch": [0.0, 0.0, 1.0]}))
         assert main(["analyze", scen]) == 0
-        capsys.readouterr()
+        assert_canonical(capsys.readouterr().out)
         assert main(["simulate", scen, "--shots", "1000", "--seed", "7"]) == 0
         text = capsys.readouterr().out
-        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+        assert_canonical(text)
         counts = json.loads(text)["result"]["counts"]
         assert [c["pp"] + c["pm"] + c["mp"] + c["mm"] for c in counts] == [1000] * 4
 
@@ -207,12 +256,16 @@ class TestSimulate:
 class TestSweep:
     def test_json_report(self, tmp_path):
         out = tmp_path / "sweep.json"
-        assert main(["sweep", "--phi-steps", "7", "--state", "psi_minus",
+        assert main(["sweep", "--phi-steps", "181", "--state", "psi_minus",
                      "--output", str(out)]) == 0
         result = json.loads(out.read_text())["result"]
-        assert len(result["rows"]) == 7
-        assert result["rows"][0]["max_s"] <= 2.0 + 1e-9
-        assert abs(result["rows"][-1]["max_s"] - TSIRELSON) < 1e-6
+        rows = result["rows"]
+        assert len(rows) == 181
+        assert rows[0]["max_s"] <= 2.0 + 1e-9
+        # the singlet reaches the Landau ceiling 2||C|| on every row
+        assert all(abs(row["s_singlet"] - row["max_s"]) <= 1e-12 for row in rows)
+        assert abs(result["best"]["max_s"] - TSIRELSON) <= 1e-12
+        assert abs(rows[-1]["max_s"] - TSIRELSON) <= 1e-12
 
     def test_csv_matches_json(self, tmp_path):
         out_json = tmp_path / "s.json"
@@ -261,7 +314,27 @@ def _leaves(x):
         yield x
 
 
-WERNER = [[0.05, 0, 0, 0], [0, 0.45, -0.4, 0], [0, -0.4, 0.45, 0], [0, 0, 0, 0.05]]
+class TestEveryCommand:
+    @pytest.mark.parametrize("command, state, flags", [
+        ("analyze", "psi_minus", []),
+        ("analyze", WERNER_SPEC, []),
+        ("simulate", WERNER_SPEC, ["--shots", "5000", "--seed", "7"]),
+        ("sweep", None, ["--phi-steps", "19", "--state", "phi_plus"]),
+    ], ids=["analyze_bell", "analyze_matrix", "simulate", "sweep"])
+    def test_stdout_is_canonical_json(self, tmp_path, capsys, command, state, flags):
+        scen = [] if command == "sweep" else [str(write_scenario(tmp_path / "s.json", state, **ANGLES))]
+        assert main([command, *scen, *flags]) == 0
+        assert_canonical(capsys.readouterr().out)
+
+    def test_maximally_mixed_gives_zero(self, tmp_path, capsys):
+        scen = str(write_scenario(tmp_path / "mixed.json", "maximally_mixed", **ANGLES))
+        assert main(["analyze", scen]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["s_value"] == 0.0
+        assert main(["simulate", scen, "--shots", "5000", "--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["s_exact"] == 0.0
+        assert main(["sweep", "--phi-steps", "19", "--state", "maximally_mixed", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 19 and all(float(row["s_singlet"]) == 0.0 for row in rows)
 
 
 class TestDocumentLeaves:
@@ -269,7 +342,7 @@ class TestDocumentLeaves:
     types `fileio.dumps` accepts, which write as `json.dumps` writes them."""
 
     @pytest.mark.parametrize("state", [
-        "psi_minus", "maximally_mixed", {"matrix": [[[x, 0.0] for x in row] for row in WERNER]}, None,
+        "psi_minus", "maximally_mixed", WERNER_SPEC, None,
     ], ids=["bell", "maximally_mixed", "matrix", "null"])
     def test_every_leaf_has_an_exact_json_type(self, tmp_path, monkeypatch, capsys, state):
         docs = []
@@ -321,6 +394,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "classical max S: 2" in proc.stdout
+
+    def test_readme_library_example_runs(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+            block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+        ns = {}
+        exec(block, ns)
+        assert ns["report"].violates is True
+        assert abs(ns["best"].s_value - TSIRELSON) <= 1e-12
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

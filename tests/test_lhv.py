@@ -80,7 +80,12 @@ class TestMixtures:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="16 weights"):
             Mixture(np.ones(4) / 4.0)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="nonnegative, min -0.5$"):
             Mixture(np.array([-0.5] + [0.1] * 15))
         with pytest.raises(ValueError, match="sum to 1"):
             Mixture(np.full(16, 1.0))
+        with pytest.raises(ValueError, match="nonnegative, min nan$"):
+            Mixture([float("nan")] * 16)
+        for typed in (["0.0625"] * 16, [True] + [False] * 15):
+            with pytest.raises(ValueError, match="mixture weights must be real numbers"):
+                Mixture(typed)

@@ -14,6 +14,12 @@ class TestAsMatrix:
         with pytest.raises(ValueError, match="square"):
             linalg.as_matrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("m", [[[True, False], [False, True]], [["1", "0"], ["0", "1"]],
+                                   np.eye(2, dtype=object)], ids=["bool", "str", "object"])
+    def test_rejects_entries_that_are_not_numbers(self, m):
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            linalg.as_matrix(m)
+
     def test_rejects_non_finite(self):
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="finite"):

@@ -245,6 +245,18 @@ class TestStates:
         with pytest.raises(ValueError, match="normalized"):
             pure_state([1.0, 1.0])
 
+    @pytest.mark.parametrize("vector", [[[1], [0], [0], [0]], ["1", "0", "0", "0"],
+                                        [True, False, False, False]], ids=["column", "strings", "booleans"])
+    def test_pure_state_requires_a_vector_of_numbers(self, vector):
+        with pytest.raises(ValueError, match="state vector must be 1-D numbers"):
+            pure_state(vector)
+
+    @pytest.mark.parametrize("matrix", [np.diag([True, False, False, False]), np.full((4, 4), "0")],
+                             ids=["booleans", "strings"])
+    def test_density_matrix_entries_must_be_numbers(self, matrix):
+        with pytest.raises(ValueError, match="matrix entries must be numbers, got dtype"):
+            DensityMatrix(matrix)
+
     def test_maximally_mixed(self):
         assert np.array_equal(maximally_mixed().matrix, np.eye(4) / 4.0)
 
