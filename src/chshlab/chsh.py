@@ -174,7 +174,7 @@ def square_identity_residual(sc: Scenario, sign: int) -> float:
     when a1 = a2 or b1 = b2 the commutator term vanishes and the two signs
     agree.
     """
-    if sign not in _SIGNS:
+    if type(sign) is not int or sign not in _SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return float(_scenario_pass(sc).residuals[0, _SIGNS.index(sign)])
 
@@ -316,17 +316,14 @@ class SignCheck:
 def verify_identity_sign(trials: int = IDENTITY_TRIALS, seed: int = IDENTITY_SEED) -> SignCheck:
     """Brute-force the sign of the C^2 identity over random scenarios.
 
-    Trial k is `random_scenario(rng.child_seed(seed, k))` for the unsigned
-    64-bit `seed`; a `trials` or `seed` that is not an int (a bool included)
-    raises ValueError.  The trials run _BLOCK at a time, each block one
-    `_chsh_pass`: `rng.child_uniforms` draws the settings of all its child
-    streams at once and `_sphere` writes their Pauli vectors.  Records the
-    maximum residual of each sign against VIOLATION_TOL; the maxima do not
-    depend on where the blocks split.
+    Trial k is `random_scenario(rng.child_seed(seed, k))` for an int `trials`
+    >= 1 and an unsigned 64-bit `seed` (else ValueError).  The trials run
+    _BLOCK at a time, each block one `_chsh_pass`: `rng.child_uniforms` draws
+    the settings of all its child streams at once and `_sphere` writes their
+    Pauli vectors.  Records the maximum residual of each sign against
+    VIOLATION_TOL; the maxima do not depend on where the blocks split.
     """
-    rng._check_int("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    rng._check_int("trials", trials, 1)
     worst = np.zeros(len(_SIGNS))
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)

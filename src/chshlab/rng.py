@@ -49,10 +49,12 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_int(name: str, value) -> None:
-    """The int check of a count, an index or a seed; a bool or numpy integer fails too."""
+def _check_int(name: str, value, least: int) -> None:
+    """A count or index, not a seed: an int (no bool or numpy integer), then >= least."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_seed(seed: int) -> None:
@@ -64,9 +66,7 @@ def _check_seed(seed: int) -> None:
 def child_seed(seed: int, index: int) -> int:
     """Seed of independent child stream `index` (0-based) of a master seed."""
     _check_seed(seed)
-    _check_int("stream index", index)
-    if index < 0:
-        raise ValueError("stream index must be >= 0")
+    _check_int("stream index", index, 0)
     return mix64(seed + GOLDEN * (index + 1))
 
 
@@ -131,12 +131,8 @@ def raw64(seed: int, n: int, start: int = 0) -> np.ndarray:
     instead of wrapping onto another seed's stream.
     """
     _check_seed(seed)
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_int("start", start)
-    if start < 0:
-        raise ValueError("start must be >= 0")
+    _check_int("n", n, 0)
+    _check_int("start", start, 0)
     z = _steps(n)
     z += _offset(seed, start)
     return _mix(z)
@@ -169,12 +165,8 @@ def child_uniforms(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
     The child seeds are outputs start+1 .. start+count of the master stream
     (`raw64`), and every row's counters are mixed in one pass.
     """
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_int("count", count)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_int("n", n, 0)
+    _check_int("count", count, 0)
     steps = _steps(n)
     steps += _offset(0, 0)  # counters of outputs 1 .. n at seed 0
     return _unit(_mix(raw64(seed, count, start).view(np.int64)[:, None] + steps))

@@ -64,10 +64,9 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("shots_per_pair", "seed"):
-            rng._check_int(name, getattr(self, name))
-        if self.shots_per_pair < 1:
-            raise ValueError("shots_per_pair >= 1 required")
+        if not isinstance(self.scenario, Scenario):
+            raise ValueError("scenario: expected a Scenario")
+        rng._check_int("shots_per_pair", self.shots_per_pair, 1)
         rng._check_seed(self.seed)
 
 
@@ -93,9 +92,7 @@ def sample_pair(
 ) -> PairCounts:
     """Draw i.i.d. joint outcomes for one setting pair from stream `seed`:
     the one-pair case of `run_experiment`'s table and counting."""
-    rng._check_int("shots", shots)
-    if shots < 1:
-        raise ValueError("shots >= 1 required")
+    rng._check_int("shots", shots, 1)
     cells = _born_cells(rho.correlations, a.pauli[None], b.pauli[None])
     return _sample(cells, shots, [seed])[0]
 

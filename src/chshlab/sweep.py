@@ -43,15 +43,15 @@ import numpy as np
 
 from . import rng
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
-from .quantum import DensityMatrix, Observable
+from .quantum import _REAL_TYPES, DensityMatrix, Observable
 
 _TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True, init=False)
 class PlanarSettings:
-    """Four x-z plane angles (radians), normalized into [0, 2*pi); frozen, so
-    no later rebinding skips the normalization."""
+    """Four x-z plane angles (radians), each a finite int or float, normalized
+    into [0, 2*pi); frozen, so no later rebinding skips the normalization."""
 
     alpha1: float
     alpha2: float
@@ -59,10 +59,15 @@ class PlanarSettings:
     beta2: float
 
     def __init__(self, alpha1: float, alpha2: float, beta1: float, beta2: float):
-        # t % 2pi rounds to 2pi itself for tiny negative t; reducing twice keeps
-        # every angle in [0, 2pi), so normalizing is idempotent.  Written once, to
-        # the instance dict: a generated frozen __init__ took 2 us against 0.7 us
-        # (Python 3.11), and a sweep builds one per row
+        # Four floats with a finite sum pass one test; other input is checked angle by
+        # angle.  t % 2pi is 2pi itself for tiny negative t; reducing twice keeps each
+        # angle in [0, 2pi), so normalizing is idempotent.  Written once, to the dict:
+        # a generated frozen __init__ took 2 us against 0.7 us (Python 3.11)
+        if not (type(alpha1) is type(alpha2) is type(beta1) is type(beta2) is float
+                and math.isfinite(alpha1 + alpha2 + beta1 + beta2)):
+            for name, t in zip(self.__dataclass_fields__, (alpha1, alpha2, beta1, beta2)):
+                if not isinstance(t, _REAL_TYPES) or isinstance(t, bool) or not math.isfinite(t):
+                    raise ValueError(f"{name} must be a finite int or float, got {t!r}")
         d = self.__dict__
         d["alpha1"] = float(alpha1) % _TWO_PI % _TWO_PI
         d["alpha2"] = float(alpha2) % _TWO_PI % _TWO_PI
@@ -131,11 +136,10 @@ def optimize_settings(state: DensityMatrix, restarts: int = 8) -> OptimizeResult
     """The x-z settings maximizing S at `state`, from the angle form of the
     2x2 SVD of T (see the module docstring).
 
-    `restarts` does not affect the result.  It is still checked (>= 1)
-    because the benchmark's workloads pass it; it can go when they stop.
+    `restarts` does not affect the result.  It is still checked (an int
+    >= 1) because the benchmark's workloads pass it; it can go when they stop.
     """
-    if restarts < 1:
-        raise ValueError("restarts >= 1 required")
+    rng._check_int("restarts", restarts, 1)
     corr = state.correlations
     (t11, t12), (t21, t22) = _xz_block(corr)
     s_sum, s_diff = math.hypot(t22 + t11, t12 - t21), math.hypot(t22 - t11, t12 + t21)
@@ -183,9 +187,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     at the state; one `eigh` call over the stack of C gives every row's
     ceiling.
     """
-    rng._check_int("phi_steps", phi_steps)
-    if phi_steps < 2:
-        raise ValueError("phi_steps >= 2 required")
+    rng._check_int("phi_steps", phi_steps, 2)
     corr = state.correlations
     t = _xz_block(corr)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()

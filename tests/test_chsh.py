@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,13 @@ class TestSquareIdentity:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             square_identity_residual(optimal_scenario(), 0)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, np.int64(-1)],
+                             ids=["True", "1.0", "-1.0", "numpy-int"])
+    def test_sign_must_be_an_exact_int(self, sign):
+        # True and 1.0 used to run as sign +1, and -1.0 as -1
+        with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {re.escape(repr(sign))}$"):
+            square_identity_residual(optimal_scenario(), sign)
 
     def test_verify_identity_sign_randomized(self):
         check = verify_identity_sign(trials=300, seed=424242)

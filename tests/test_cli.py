@@ -206,7 +206,7 @@ class TestSimulate:
     def test_zero_shots_rejected(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "opt.json")
         assert main(["simulate", str(scen), "--shots", "0"]) == 2
-        assert "shots_per_pair >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "invalid input: shots_per_pair must be >= 1\n"
 
     def test_state_required(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "stateless.json", state=None)

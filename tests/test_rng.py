@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from chshlab import rng
+from chshlab import (RunConfig, bell_state, incompatibility_sweep, observable_from_bloch,
+                     optimize_settings, rng, sample_pair, verify_identity_sign)
+from chshlab.chsh import random_scenario
 from chshlab.rng import _CHUNK
 
 MASK = (1 << 64) - 1
@@ -116,23 +118,42 @@ def test_seed_of_another_type_rejected(seed):
             draw()
 
 
+SINGLET, SZ = bell_state("psi_minus"), observable_from_bloch((0, 0, 1))
+# every count and index of the package, each checked by one `rng._check_int`
+# call: test id -> (argument name, least value, call with that argument)
+COUNTS = {
+    "raw64-n": ("n", 0, lambda v: rng.raw64(1, v)),
+    "raw64-start": ("start", 0, lambda v: rng.raw64(1, 2, v)),
+    "uniforms-n": ("n", 0, lambda v: rng.uniforms(1, v)),
+    "child_seed-index": ("stream index", 0, lambda v: rng.child_seed(1, v)),
+    "child_uniforms-count": ("count", 0, lambda v: rng.child_uniforms(1, v, 8)),
+    "child_uniforms-n": ("n", 0, lambda v: rng.child_uniforms(1, 2, v)),
+    "child_uniforms-start": ("start", 0, lambda v: rng.child_uniforms(1, 2, 8, v)),
+    "verify_identity_sign-trials": ("trials", 1, lambda v: verify_identity_sign(v)),
+    "sample_pair-shots": ("shots", 1, lambda v: sample_pair(SINGLET, SZ, SZ, v, 1)),
+    "RunConfig-shots_per_pair": ("shots_per_pair", 1,
+                                 lambda v: RunConfig(random_scenario(5, SINGLET), v, 1)),
+    "incompatibility_sweep-phi_steps": ("phi_steps", 2, lambda v: incompatibility_sweep(v, SINGLET)),
+    "optimize_settings-restarts": ("restarts", 1, lambda v: optimize_settings(SINGLET, v)),
+}
+
+
 @pytest.mark.parametrize("value", [2.0, 1.5, "2", True, False, np.int64(2), None],
                          ids=["2.0", "1.5", "str", "True", "False", "numpy-int", "None"])
-@pytest.mark.parametrize("name, draw", [
-    ("n", lambda v: rng.raw64(1, v)),
-    ("start", lambda v: rng.raw64(1, 2, v)),
-    ("n", lambda v: rng.uniforms(1, v)),
-    ("stream index", lambda v: rng.child_seed(1, v)),
-    ("count", lambda v: rng.child_uniforms(1, v, 8)),
-    ("n", lambda v: rng.child_uniforms(1, 2, v)),
-    ("start", lambda v: rng.child_uniforms(1, 2, 8, v)),
-], ids=["raw64-n", "raw64-start", "uniforms-n", "child_seed-index", "child_uniforms-count",
-        "child_uniforms-n", "child_uniforms-start"])
+@pytest.mark.parametrize("name, draw", [(name, draw) for name, _, draw in COUNTS.values()],
+                         ids=list(COUNTS))
 def test_count_or_index_of_another_type_rejected(name, draw, value):
     # a float used to draw (uniforms(1, 2.0) gave 2 values) or fail inside `&`
-    # with a TypeError, and a bool ran as 0 or 1
+    # with a TypeError, and a bool ran as 0 or 1; restarts had no int check
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an int, got {value!r}')}$"):
         draw(value)
+
+
+@pytest.mark.parametrize("name, least, draw", list(COUNTS.values()), ids=list(COUNTS))
+def test_count_or_index_below_its_least_rejected(name, least, draw):
+    # one message form for all: four sites used to say "X >= k required"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be >= {least}')}$"):
+        draw(least - 1)
 
 
 def test_counter_prefix_property():

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,7 +215,7 @@ class TestRunExperiment:
 
     def test_config_validation(self):
         sc = optimal_scenario(bell_state("psi_minus"))
-        with pytest.raises(ValueError, match="shots_per_pair >= 1"):
+        with pytest.raises(ValueError, match="^shots_per_pair must be >= 1$"):
             RunConfig(sc, shots_per_pair=0, seed=1)
         with pytest.raises(ValueError, match="64-bit"):
             RunConfig(sc, shots_per_pair=10, seed=-1)
@@ -225,9 +226,20 @@ class TestRunExperiment:
         ("shots_per_pair", True), ("shots_per_pair", 2.5), ("seed", True), ("seed", 1.0),
     ])
     def test_config_requires_int(self, field, value):
+        # the seed is type-checked once, by `rng._check_seed`, as everywhere else
         kwargs = {"shots_per_pair": 10, "seed": 1, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an int"):
+        want = (f"seed must be an unsigned 64-bit integer, got {value!r}" if field == "seed"
+                else f"{field} must be an int, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             RunConfig(optimal_scenario(bell_state("psi_minus")), **kwargs)
+
+    @pytest.mark.parametrize("scenario", ["x", None, bell_state("psi_minus")],
+                             ids=["str", "None", "state"])
+    def test_config_requires_a_scenario(self, scenario):
+        # any object used to construct, and `run_experiment` then failed with
+        # an AttributeError
+        with pytest.raises(ValueError, match="^scenario: expected a Scenario$"):
+            RunConfig(scenario, shots_per_pair=10, seed=1)
 
     @pytest.mark.parametrize(
         "case, seed, shots, want",

@@ -53,6 +53,25 @@ class TestPlanarSettings:
         tiny = PlanarSettings(-1e-20, -5e-324, 0.0, 0.0)
         assert tiny.alpha1 == tiny.alpha2 == 0.0
 
+    @pytest.mark.parametrize("bad", ["1.5", True, math.nan, math.inf, -math.inf, None],
+                             ids=["str", "bool", "nan", "inf", "-inf", "None"])
+    @pytest.mark.parametrize("position", range(4))
+    def test_angles_must_be_finite_numbers(self, bad, position):
+        # "1.5" and True used to be stored as 1.5 and 1.0, and NaN or +-inf as
+        # NaN, which failed only later, in `Observable`
+        angles = [0.5, 1.0, np.float32(2.0), 3]
+        angles[position] = bad
+        name = ("alpha1", "alpha2", "beta1", "beta2")[position]
+        message = f"{name} must be a finite int or float, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PlanarSettings(*angles)
+
+    def test_ints_numpy_floats_and_huge_angles_accepted(self):
+        assert PlanarSettings(0.5, 1, np.float32(2.0), np.float64(3.0)).as_tuple() == (0.5, 1.0, 2.0, 3.0)
+        # four finite floats whose sum overflows are still finite angles
+        huge = PlanarSettings(1e308, 1e308, 1e308, 1e308)
+        assert huge.as_tuple() == (1e308 % (2.0 * np.pi),) * 4
+
     def test_settings_to_scenario_axes(self):
         sc = settings_to_scenario(PlanarSettings(0.0, 0.0, 0.0, 0.0))
         for obs in sc.observables():
