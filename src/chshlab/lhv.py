@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quantum import _real_array
+from . import linalg
 
 
 class Strategy(NamedTuple):
@@ -46,16 +46,16 @@ def classical_min() -> int:
 
 @dataclass(frozen=True, eq=False)
 class Mixture:
-    """Probability weights (ints or floats) over the 16 strategies, in enumeration order,
-    held as a read-only copy: later writes to the caller's array do not reach them."""
+    """Probability weights (`linalg.as_numbers`) over the 16 strategies, in enumeration
+    order, held as a read-only copy: later writes to the caller's array do not reach them."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _real_array(self.weights, "mixture weights").flatten()
+        w = linalg.as_numbers(self.weights, "mixture weights", np.float64).flatten()
         if w.shape[0] != 16:
             raise ValueError(f"mixture needs 16 weights, got {w.shape[0]}")
-        if not np.all(w >= -1e-12):  # NaN fails too
+        if not np.all(w >= -1e-12):
             raise ValueError(f"mixture weights must be nonnegative, min {float(w.min())!r}")
         total = float(w.sum())
         if not abs(total - 1.0) <= 1e-10:

@@ -49,7 +49,6 @@ _CELL_LO = 2.0 * _EIGENVALUE_FLOOR - _EFFECT_SLACK - 1e-12
 _CELL_HI = 1.0 + _TRACE_TOL - 3.0 * _EIGENVALUE_FLOOR + 2.0 * _EFFECT_SLACK + 1e-12
 
 BELL_STATE_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-_REAL_TYPES = (int, float, np.integer, np.floating)  # bool is an int, so checked apart
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +59,7 @@ class Observable:
     M^2 = (c0^2 + |c'|^2) I + 2 c0 c' . sigma, so for real c
     ||M^2 - I||_F = sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2 |c0| |c'|), which must
     not exceed OBSERVABLE_TOL: c is +/-e0 or (0, n) for a unit n, up to rounding.
-    The entries of c must be ints or floats (`_real_array`); +/-I is written
-    Observable((+/-1, 0, 0, 0)).
+    c must pass `linalg.as_numbers`; +/-I is written Observable((+/-1, 0, 0, 0)).
     """
 
     pauli: np.ndarray
@@ -69,13 +67,13 @@ class Observable:
 
     def __post_init__(self):
         tag = f"observable {self.label!r}" if self.label else "observable"
-        c = _real_array(self.pauli, f"{tag}: Pauli vector").copy()
+        c = linalg.as_numbers(self.pauli, f"{tag}: Pauli vector", np.float64).copy()
         if c.shape != (4,):
             raise ValueError(f"{tag}: expected a Pauli 4-vector, got shape {c.shape}")
         c0, *bloch = c.tolist()
         r = math.hypot(*bloch)
         residual = math.sqrt(2.0) * math.hypot(c0 * c0 + r * r - 1.0, 2.0 * abs(c0) * r)
-        if not residual <= OBSERVABLE_TOL:  # NaN fails too
+        if not residual <= OBSERVABLE_TOL:
             raise ValueError(f"{tag}: Pauli vector {c.tolist()} does not square to the identity")
         c.flags.writeable = False
         object.__setattr__(self, "pauli", c)  # frozen, so no later rebinding skips the check
@@ -86,31 +84,13 @@ class Observable:
         return np.tensordot(self.pauli, PAULIS, axes=1)
 
 
-def _real_array(x, what: str) -> np.ndarray:
-    """`x` as a float64 array, whose entries must be ints or floats.
-
-    Strings, booleans, complex numbers and other objects raise ValueError
-    rather than pass through numpy's casts ("1" -> 1.0, True -> 1.0).  An
-    ndarray is judged by its dtype; other input entry by entry, since numpy
-    would give [True, 0.0] a float dtype.
-    """
-    if isinstance(x, np.ndarray):
-        real = x.dtype.kind in "iuf"
-    else:
-        real = all(isinstance(v, _REAL_TYPES) and not isinstance(v, bool)
-                   for v in np.asarray(x, dtype=object).flat)
-    if not real:
-        raise ValueError(f"{what} must be real numbers (int or float)")
-    return np.asarray(x, dtype=np.float64)
-
-
 def observable_from_bloch(n, label: str = "") -> Observable:
     """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z),
-    abs(x*x + y*y + z*z - 1) <= BLOCH_UNIT_TOL (NaN fails).  A tuple of three exact
-    floats, as `fileio` passes, is used as it is; any other input must be three
-    ints or floats (`_real_array`)."""
-    if not (type(n) is tuple and len(n) == 3 and all(type(v) is float for v in n)):
-        a = _real_array(n, "bloch vectors")
+    abs(x*x + y*y + z*z - 1) <= BLOCH_UNIT_TOL.  A tuple of three floats with a finite sum,
+    as `fileio` passes, is used as it is; any other input must pass `linalg.as_numbers`."""
+    if not (type(n) is tuple and len(n) == 3 and all(type(v) is float for v in n)
+            and math.isfinite(n[0] + n[1] + n[2])):
+        a = linalg.as_numbers(n, "bloch vectors", np.float64)
         if a.shape != (3,):
             raise ValueError(f"bloch vectors must have shape (3,), got {a.shape}")
         n = tuple(a.tolist())
@@ -138,7 +118,7 @@ class DensityMatrix:
     correlations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = linalg.as_matrix(np.array(self.matrix))  # np.array: the state owns a copy
+        m = linalg.as_matrix(self.matrix).copy()  # the state owns a copy
         if m.shape[0] != 4:
             raise ValueError(f"density matrix must have dim 4, got {m.shape[0]}")
         if not linalg.is_hermitian(m):
@@ -157,11 +137,10 @@ class DensityMatrix:
 
 
 def pure_state(vector) -> DensityMatrix:
-    """Rank-1 projector |v><v| of a normalized 1-D vector of ints, floats or complex numbers."""
-    v = np.asarray(vector)
-    if v.ndim != 1 or v.dtype.kind not in "iufc":
-        raise ValueError(f"state vector must be 1-D numbers, got shape {v.shape} of {v.dtype}")
-    v = v.astype(np.complex128, copy=False)
+    """Rank-1 projector |v><v| of a normalized 1-D vector of numbers (`linalg.as_numbers`)."""
+    v = linalg.as_numbers(vector, "state vector", np.complex128)
+    if v.ndim != 1:
+        raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state vector must be normalized, got norm {nrm!r}")
@@ -212,8 +191,8 @@ class JointDistribution:
     A `DensityMatrix` has eigenvalues >= _EIGENVALUE_FLOOR and trace within
     _TRACE_TOL of 1, so to first order in delta (the rest is below 1e-20)
     r * floor - delta <= cell <= 1 + _TRACE_TOL - (4 - r) * floor + 2 delta.
-    Cells must lie in [_CELL_LO, _CELL_HI], the widest of these (r = 2 below,
-    r = 1 above) plus 1e-12 for rounding, and sum to 1 within _TRACE_TOL."""
+    Cells must be real numbers (`linalg.as_numbers`) in [_CELL_LO, _CELL_HI], the widest
+    of these (r = 2 below, r = 1 above) plus 1e-12 for rounding, summing to 1 within _TRACE_TOL."""
 
     p_pp: float
     p_pm: float
@@ -222,9 +201,12 @@ class JointDistribution:
 
     def __post_init__(self):
         p0, p1, p2, p3 = cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
+        if not (type(p0) is type(p1) is type(p2) is type(p3) is float
+                and math.isfinite(p0 + p1 + p2 + p3)):
+            linalg.as_numbers(cells, "probabilities", np.float64)
         lo, hi = _CELL_LO, _CELL_HI
         if not (lo <= p0 <= hi and lo <= p1 <= hi and lo <= p2 <= hi and lo <= p3 <= hi):
-            raise ValueError(f"probabilities out of range: {[float(x) for x in cells]}")  # NaN too
+            raise ValueError(f"probabilities out of range: {[float(x) for x in cells]}")
         total = 0.0 + p0 + p1 + p2 + p3  # np.sum's order: from +0.0, left to right
         if abs(total - 1.0) > _TRACE_TOL:
             raise ValueError(f"probabilities must sum to 1, got {float(total)!r}")

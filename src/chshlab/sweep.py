@@ -41,17 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import linalg, rng
 from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
-from .quantum import _REAL_TYPES, DensityMatrix, Observable
+from .quantum import DensityMatrix, Observable
 
 _TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True, init=False)
 class PlanarSettings:
-    """Four x-z plane angles (radians), each a finite int or float, normalized
-    into [0, 2*pi); frozen, so no later rebinding skips the normalization."""
+    """Four x-z plane angles (radians), each one real number (`linalg.as_numbers`),
+    normalized into [0, 2*pi); frozen, so no later rebinding skips the normalization."""
 
     alpha1: float
     alpha2: float
@@ -66,8 +66,8 @@ class PlanarSettings:
         if not (type(alpha1) is type(alpha2) is type(beta1) is type(beta2) is float
                 and math.isfinite(alpha1 + alpha2 + beta1 + beta2)):
             for name, t in zip(self.__dataclass_fields__, (alpha1, alpha2, beta1, beta2)):
-                if not isinstance(t, _REAL_TYPES) or isinstance(t, bool) or not math.isfinite(t):
-                    raise ValueError(f"{name} must be a finite int or float, got {t!r}")
+                if linalg.as_numbers(t, name, np.float64).ndim:
+                    raise ValueError(f"{name} must be one number, got {t!r}")
         d = self.__dict__
         d["alpha1"] = float(alpha1) % _TWO_PI % _TWO_PI
         d["alpha2"] = float(alpha2) % _TWO_PI % _TWO_PI

@@ -58,7 +58,7 @@ ENTRY_ERRORS = {
     # json.dumps writes these as the literals Infinity and NaN
     "infinite_angle": ({"a2": {"angle": float("inf")}}, 2, "invalid input: a2.angle: must be finite"),
     "nan_bloch": ({"b1": {"bloch": [float("nan"), 0, 1]}}, 2,
-                  "invalid input: b1.bloch: bloch vectors must have unit length"),
+                  "invalid input: b1.bloch: bloch vectors must be finite real numbers"),
 }
 
 

@@ -150,7 +150,7 @@ class TestScenarioParsing:
     def test_nan_bloch_component_is_validation_error(self):
         doc = optimal_doc()
         text = json.dumps(doc).replace("1.0, 0.0, 0.0", "NaN, 0.0, 0.0")
-        with pytest.raises(ValueError, match="unit length"):
+        with pytest.raises(ValueError, match="bloch vectors must be finite real numbers"):
             fileio.parse_scenario(text)
 
     def test_non_numeric_angle_is_format_error(self):

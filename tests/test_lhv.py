@@ -84,8 +84,6 @@ class TestMixtures:
             Mixture(np.array([-0.5] + [0.1] * 15))
         with pytest.raises(ValueError, match="sum to 1"):
             Mixture(np.full(16, 1.0))
-        with pytest.raises(ValueError, match="nonnegative, min nan$"):
-            Mixture([float("nan")] * 16)
-        for typed in (["0.0625"] * 16, [True] + [False] * 15):
-            with pytest.raises(ValueError, match="mixture weights must be real numbers"):
+        for typed in (["0.0625"] * 16, [True] + [False] * 15, [float("nan")] * 16):
+            with pytest.raises(ValueError, match="mixture weights must be finite real numbers"):
                 Mixture(typed)

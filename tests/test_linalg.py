@@ -1,9 +1,12 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
 
-from chshlab import linalg
+from chshlab import (DensityMatrix, JointDistribution, Mixture, Observable, PlanarSettings, linalg,
+                     observable_from_bloch, pure_state)
 from chshlab.quantum import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from helpers import frobenius, random_hermitian, random_unitary
@@ -17,13 +20,67 @@ class TestAsMatrix:
     @pytest.mark.parametrize("m", [[[True, False], [False, True]], [["1", "0"], ["0", "1"]],
                                    np.eye(2, dtype=object)], ids=["bool", "str", "object"])
     def test_rejects_entries_that_are_not_numbers(self, m):
-        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+        with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
             linalg.as_matrix(m)
 
     def test_rejects_non_finite(self):
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
             linalg.as_matrix(bad)
+
+
+def sz_with(v):
+    """sigma_z with `v` in place of its upper-right zero."""
+    return [[1.0, v], [0.0, -1.0]]
+
+
+REAL = "real numbers (int or float)"
+COMPLEX = "numbers (int, float or complex)"
+# every entry point that takes numbers from outside -> (the name its message
+# gives, the numbers it takes, a valid input with the value v in place of one of
+# its zeros, returned as something np.array_equal compares)
+NUMERIC_INPUTS = {
+    "Observable": ("observable: Pauli vector", REAL, lambda v: Observable([0.0, v, 0.0, 1.0]).pauli),
+    "observable_from_bloch": ("bloch vectors", REAL,
+                              lambda v: observable_from_bloch([v, 0.0, 1.0]).pauli),
+    "Mixture": ("mixture weights", REAL, lambda v: Mixture([1.0, v] + [0.0] * 14).weights),
+    "PlanarSettings": ("alpha2", REAL, lambda v: PlanarSettings(0.5, v, 1.0, 2.0).as_tuple()),
+    "JointDistribution": ("probabilities", REAL,
+                          lambda v: dataclasses.astuple(JointDistribution(0.5, v, 0.25, 0.25))),
+    "DensityMatrix": ("matrix entries", COMPLEX, lambda v: DensityMatrix(
+        [[0.5, v, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, 0.5]]).matrix),
+    "pure_state": ("state vector", COMPLEX, lambda v: pure_state([1.0, v, 0.0, 0.0]).matrix),
+    "hermitian_eigen": ("matrix entries", COMPLEX,
+                        lambda v: linalg.hermitian_eigen(sz_with(v)).eigenvalues),
+    "operator_norm": ("matrix entries", COMPLEX, lambda v: linalg.operator_norm(sz_with(v))),
+    "commutator": ("matrix entries", COMPLEX, lambda v: linalg.commutator(SIGMA_X, sz_with(v))),
+}
+NOT_NUMBERS = {"bool": True, "str": "0", "None": None, "complex": 1j, "huge-int": 10**400,
+               "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+               "timedelta": np.timedelta64(1, "s")}  # a numpy integer subclass
+NUMBERS = {"int": 0, "numpy-int64": np.int64(0), "numpy-int32": np.int32(0),
+           "numpy-float64": np.float64(0.0), "numpy-float32": np.float32(0.0)}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{label}")
+    for entry, (_, numbers, _) in NUMERIC_INPUTS.items()
+    for label, value in NOT_NUMBERS.items() if not (label == "complex" and numbers == COMPLEX)
+])
+def test_value_that_is_not_a_finite_number_rejected(entry, value):
+    # one rule and one message for all: a bool, None or 10**400 used to pass the
+    # dtype-only checks or raise TypeError or OverflowError, and NaN or +-inf
+    # failed later, under another name or none
+    what, numbers, make = NUMERIC_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be finite {numbers}')}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", NUMBERS.values(), ids=list(NUMBERS))
+@pytest.mark.parametrize("make", [make for _, _, make in NUMERIC_INPUTS.values()],
+                         ids=list(NUMERIC_INPUTS))
+def test_ints_and_numpy_numbers_accepted(make, value):
+    assert np.array_equal(make(value), make(0.0))
 
 
 class TestFrobenius:

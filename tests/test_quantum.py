@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,13 +83,13 @@ class TestObservable:
     def test_rejects_non_hermitian(self):
         # a complex Pauli vector is the only way to a non-Hermitian M:
         # (0, 1, i, 0) is sx + i sy = [[0, 2], [0, 0]]
-        with pytest.raises(ValueError, match="must be real"):
+        with pytest.raises(ValueError, match="must be finite real numbers"):
             Observable(np.array([0.0, 1.0, 1j, 0.0]), label="bad")
 
     @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0),
                                      (0.0, 0.0, 0.0, -np.inf), (0.0, 1.0, np.nan, 0.0)])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="square to the identity"):
+        with pytest.raises(ValueError, match="Pauli vector must be finite real numbers"):
             Observable(bad)
 
     def test_rejects_wrong_spectrum(self):
@@ -245,16 +246,19 @@ class TestStates:
         with pytest.raises(ValueError, match="normalized"):
             pure_state([1.0, 1.0])
 
-    @pytest.mark.parametrize("vector", [[[1], [0], [0], [0]], ["1", "0", "0", "0"],
-                                        [True, False, False, False]], ids=["column", "strings", "booleans"])
-    def test_pure_state_requires_a_vector_of_numbers(self, vector):
-        with pytest.raises(ValueError, match="state vector must be 1-D numbers"):
+    @pytest.mark.parametrize("vector, message", [
+        ([[1], [0], [0], [0]], "state vector must be 1-D, got shape (4, 1)"),
+        (["1", "0", "0", "0"], "state vector must be finite numbers (int, float or complex)"),
+        ([True, False, False, False], "state vector must be finite numbers (int, float or complex)"),
+    ], ids=["column", "strings", "booleans"])
+    def test_pure_state_requires_a_vector_of_numbers(self, vector, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pure_state(vector)
 
     @pytest.mark.parametrize("matrix", [np.diag([True, False, False, False]), np.full((4, 4), "0")],
                              ids=["booleans", "strings"])
     def test_density_matrix_entries_must_be_numbers(self, matrix):
-        with pytest.raises(ValueError, match="matrix entries must be numbers, got dtype"):
+        with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
             DensityMatrix(matrix)
 
     def test_maximally_mixed(self):
@@ -310,7 +314,7 @@ class TestJointDistribution:
     def test_nan_cell_rejected(self, cell):
         cells = [0.25] * 4
         cells[cell] = float("nan")
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="probabilities must be finite real numbers"):
             JointDistribution(*cells)
 
     @pytest.mark.parametrize("cells, message", [
@@ -530,12 +534,17 @@ class TestBlochUnitCheck:
 
     @pytest.mark.parametrize("n", [
         (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (math.inf, math.nan, 0.0),
-        (1e200, 0.0, 0.0), (0.0, -1e200, 1.0), (1e154, 1e154, 0.0),
+        (1e200, 0.0, 0.0), (0.0, -1e200, 1.0), (1e154, 1e154, 0.0), (1e308, 1e308, 0.0),
     ])
     def test_non_finite_and_huge_components(self, n):
+        # NaN and +-inf fail the numeric-input gate; huge finite components, whose
+        # sum may overflow too, fail the unit check
         want = outcome(observable_from_bloch, n)
         assert want[0] == "rejects"
-        assert want[1].startswith("bloch vectors must have unit length, got |n|^2 = ")
+        if all(map(math.isfinite, n)):
+            assert want[1].startswith("bloch vectors must have unit length, got |n|^2 = ")
+        else:
+            assert want[1] == "bloch vectors must be finite real numbers (int or float)"
         for form in self.forms(n):
             assert outcome(observable_from_bloch, form) == want
 
@@ -548,7 +557,7 @@ class TestBlochUnitCheck:
         # array built from a tuple with True would already be a float array)
         for form in (n, tuple(n), list(n)):
             got = outcome(observable_from_bloch, form)
-            assert got == ("rejects", "bloch vectors must be real numbers (int or float)"), form
+            assert got == ("rejects", "bloch vectors must be finite real numbers (int or float)"), form
 
     @pytest.mark.parametrize("n", [(0, 0, 1), (-0.0, 0, -1), (0.6, -0.0, 0.8), (np.float64(0.6), 0, 0.8)],
                              ids=repr)
