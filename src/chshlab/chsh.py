@@ -33,14 +33,15 @@ check, which is for matrices from outside: C is Hermitian by construction.
 `analyze`, `max_s_over_states`, `extremal_eigenstate`, `chsh_operator`,
 `commutator_norms` and `square_identity_residual` run it with N = 1,
 `sweep.incompatibility_sweep` once over all its rows, and
-`verify_identity_sign` on blocks of _BLOCK = 256 random trials, small enough
-that the allocator keeps every block's temporaries, drawn for a whole block
-at once from the child streams of its seed; `_sphere` writes those generated
+`verify_identity_sign` on blocks of _BLOCK = 256 random trials, its largest
+arrays in one buffer per thread, drawn for a whole block at once from the
+child streams of its seed; `_sphere` writes those generated
 settings, and `random_scenario`'s, as Pauli vectors into one array, unchecked.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,12 +64,13 @@ _IMAGES = np.block([[PAULI_PRODUCTS.real, -PAULI_PRODUCTS.imag],
                     [PAULI_PRODUCTS.imag, PAULI_PRODUCTS.real]]).reshape(16, 64)
 _HALVES = _IMAGES.reshape(16, 8, 8)[..., :4].reshape(16, 32)
 _EYE_HALF = np.eye(8, 4).reshape(32)
-# trials per array pass of verify_identity_sign: R(C) takes 512 B per trial, so
-# a block's largest array is 128 KiB and the allocator keeps every temporary (a
-# 500-trial command takes 0 minor faults against 218 at 1024, and 0.86x the time;
-# 512 took 1.02x and 128 1.04x, where per-block call overhead takes over; 2-core
-# x86-64, numpy 2.4).  50,000 trials peak at 0.57 MB under tracemalloc.
+# trials per array pass of verify_identity_sign (a 500-trial command took 1.16x the
+# time at 1024, 1.02x at 512 and 1.04x at 128; 2-core x86-64, numpy 2.4).  R(C) and
+# the three largest temporaries, 192 floats per trial, live in one buffer per thread
+# (_THREAD.work): freed after every block, glibc's malloc could trim those 384 KiB
+# off the top of its heap and take 50-170 minor faults per command to get them back.
 _BLOCK = 256
+_THREAD = threading.local()
 
 # Sign of the commutator term in C^2 = I + sign * (1/4)[a1,a2] x [b1,b2].
 # Fixed by verify_identity_sign() (see also the check-identity CLI command),
@@ -134,24 +136,28 @@ class _Pass(NamedTuple):
         return np.linalg.eigh(self.operator)
 
 
-def _chsh_pass(vectors: np.ndarray) -> _Pass:
+def _chsh_pass(vectors: np.ndarray, work: np.ndarray | None = None) -> _Pass:
     """R(C), M, both local commutator norms and both identity residuals of N
     scenarios, from the (N, 4, 4) Pauli vectors of a1, a2, b1, b2.
 
     The cross products w = (0, u), (0, v) of (a1, a2) and (b1, b2) give the
     norms 2|u|, 2|v| and the commutator term's coefficients -w_A w_B^T.  Only
     left halves are formed: R(C) R(C)[:, :4] - I is that of C^2 - I, and
-    ||Z||_F^2 is the sum of squares of Z's left half [[Re Z], [Im Z]].
+    ||Z||_F^2 is the sum of squares of Z's left half [[Re Z], [Im Z]].  R(C)
+    and the three largest temporaries are new arrays, or the first 192 N floats of `work`.
     """
     n = len(vectors)
+    image, neg_term, square, diff = (None,) * 4 if work is None else (
+        work[:64 * n].reshape(n, 64), work[64 * n:96 * n].reshape(n, 32),
+        work[96 * n:128 * n].reshape(n, 8, 4), work[128 * n:192 * n].reshape(2, n, 32))
     m = chsh_coefficients(vectors)
     x, y = vectors[..., _NEXT], vectors[..., _PREV]
     w = x[:, 0::2] * y[:, 1::2] - y[:, 0::2] * x[:, 1::2]  # (a1, b1) cross (a2, b2)
-    image = (m.reshape(n, 16) @ _IMAGES).reshape(n, 8, 8)
-    neg_term = (w[:, 0, :, None] * w[:, 1, None, :]).reshape(n, 16) @ _HALVES  # of -term
-    square = (image @ image[..., :4]).reshape(n, 32)
+    image = np.matmul(m.reshape(n, 16), _IMAGES, out=image).reshape(n, 8, 8)
+    neg_term = np.matmul((w[:, 0, :, None] * w[:, 1, None, :]).reshape(n, 16), _HALVES, out=neg_term)
+    square = np.matmul(image, image[..., :4], out=square).reshape(n, 32)
     square -= _EYE_HALF
-    diff = _SIGN_COLUMN * neg_term  # (2, N, 32), signs in _SIGNS order
+    diff = np.multiply(_SIGN_COLUMN, neg_term, out=diff)  # (2, N, 32), signs in _SIGNS order
     diff += square
     residuals = np.sqrt(np.einsum("snk,snk->ns", diff, diff))
     return _Pass(image, m, 2.0 * np.linalg.norm(w, axis=-1), residuals)
@@ -251,17 +257,11 @@ def analyze(sc: Scenario) -> Report:
     nrm = float(np.abs(p.eigh().eigenvalues).max())
     comm_a, comm_b = p.commutator_norms[0].tolist()
     max_s = 2.0 * nrm
-    return Report(
-        s_value=(None if sc.state is None
-                 else _s_at(p.coefficients[0], sc.state.correlations)),
-        max_s_over_states=max_s,
-        chsh_operator_norm=nrm,
-        comm_a_norm=comm_a,
-        comm_b_norm=comm_b,
-        identity_residual=float(p.residuals[0, _SIGNS.index(IDENTITY_SIGN)]),
-        identity_sign=IDENTITY_SIGN,
-        violates=bool(max_s > 2.0 + VIOLATION_TOL),
-    )
+    s = None if sc.state is None else _s_at(p.coefficients[0], sc.state.correlations)
+    return Report(s_value=s, max_s_over_states=max_s, chsh_operator_norm=nrm,
+                  comm_a_norm=comm_a, comm_b_norm=comm_b,
+                  identity_residual=float(p.residuals[0, _SIGNS.index(IDENTITY_SIGN)]),
+                  identity_sign=IDENTITY_SIGN, violates=bool(max_s > 2.0 + VIOLATION_TOL))
 
 
 def _sphere(u: np.ndarray) -> np.ndarray:
@@ -318,20 +318,18 @@ def verify_identity_sign(trials: int = IDENTITY_TRIALS, seed: int = IDENTITY_SEE
 
     Trial k is `random_scenario(rng.child_seed(seed, k))` for an int `trials`
     >= 1 and an unsigned 64-bit `seed` (else ValueError).  The trials run
-    _BLOCK at a time, each block one `_chsh_pass`: `rng.child_uniforms` draws
-    the settings of all its child streams at once and `_sphere` writes their
+    _BLOCK at a time, each block one `_chsh_pass` in `_THREAD.work`: `rng.child_uniforms`
+    draws the settings of all its child streams at once and `_sphere` writes their
     Pauli vectors.  Records the maximum residual of each sign against
     VIOLATION_TOL; the maxima do not depend on where the blocks split.
     """
     rng._check_int("trials", trials, 1)
+    if len(work := getattr(_THREAD, "work", ())) < 192 * _BLOCK:
+        work = _THREAD.work = np.empty(192 * _BLOCK)
     worst = np.zeros(len(_SIGNS))
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
         paulis = _sphere(rng.child_uniforms(seed, count, 8, start))
-        worst = np.maximum(worst, _chsh_pass(paulis).residuals.max(axis=0))
-    return SignCheck(
-        trials=trials,
-        max_residual_plus=float(worst[0]),
-        max_residual_minus=float(worst[1]),
-        tolerance=VIOLATION_TOL,
-    )
+        worst = np.maximum(worst, _chsh_pass(paulis, work).residuals.max(axis=0))
+    return SignCheck(trials=trials, max_residual_plus=float(worst[0]),
+                     max_residual_minus=float(worst[1]), tolerance=VIOLATION_TOL)

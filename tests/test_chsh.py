@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,27 @@ class TestBlockedIdentityCheck:
         for block in (1, 7, 299):
             monkeypatch.setattr(chsh, "_BLOCK", block)
             assert verify_identity_sign(300, 99) == want
+
+    @pytest.mark.parametrize("n", [1, 19, chsh._BLOCK - 1, chsh._BLOCK])
+    def test_pass_in_a_work_buffer_is_bit_identical(self, n):
+        vectors = chsh._sphere(rng.child_uniforms(5, n, 8))
+        work = np.full(192 * chsh._BLOCK, np.nan)
+        for fresh, in_work in zip(chsh._chsh_pass(vectors), chsh._chsh_pass(vectors, work)):
+            assert in_work.tobytes() == fresh.tobytes()
+
+    def test_each_thread_keeps_one_work_buffer(self):
+        verify_identity_sign(10)
+        work = chsh._THREAD.work
+        assert len(work) >= 192 * chsh._BLOCK
+        verify_identity_sign(1025, 99)
+        assert chsh._THREAD.work is work
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append((verify_identity_sign(1025, 99),
+                                                              chsh._THREAD.work)))
+        thread.start()
+        thread.join()
+        check, other = seen[0]
+        assert other is not work and check == verify_identity_sign(1025, 99)
 
     def test_memory_is_bounded_at_any_trial_count(self):
         verify_identity_sign(10)  # warm caches outside the measurement
