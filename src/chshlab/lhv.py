@@ -52,9 +52,7 @@ class Mixture:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = linalg.as_numbers(self.weights, "mixture weights", np.float64).flatten()
-        if w.shape[0] != 16:
-            raise ValueError(f"mixture needs 16 weights, got {w.shape[0]}")
+        w = linalg.as_numbers(self.weights, "mixture weights", np.float64, (16,)).copy()
         if not np.all(w >= -1e-12):
             raise ValueError(f"mixture weights must be nonnegative, min {float(w.min())!r}")
         total = float(w.sum())

@@ -59,7 +59,7 @@ class Observable:
     M^2 = (c0^2 + |c'|^2) I + 2 c0 c' . sigma, so for real c
     ||M^2 - I||_F = sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2 |c0| |c'|), which must
     not exceed OBSERVABLE_TOL: c is +/-e0 or (0, n) for a unit n, up to rounding.
-    c must pass `linalg.as_numbers`; +/-I is written Observable((+/-1, 0, 0, 0)).
+    c must pass `linalg.as_numbers` with shape (4,); +/-I is written Observable((+/-1, 0, 0, 0)).
     """
 
     pauli: np.ndarray
@@ -67,9 +67,7 @@ class Observable:
 
     def __post_init__(self):
         tag = f"observable {self.label!r}" if self.label else "observable"
-        c = linalg.as_numbers(self.pauli, f"{tag}: Pauli vector", np.float64).copy()
-        if c.shape != (4,):
-            raise ValueError(f"{tag}: expected a Pauli 4-vector, got shape {c.shape}")
+        c = linalg.as_numbers(self.pauli, f"{tag}: Pauli vector", np.float64, (4,)).copy()
         c0, *bloch = c.tolist()
         r = math.hypot(*bloch)
         residual = math.sqrt(2.0) * math.hypot(c0 * c0 + r * r - 1.0, 2.0 * abs(c0) * r)
@@ -86,15 +84,8 @@ class Observable:
 
 def observable_from_bloch(n, label: str = "") -> Observable:
     """Observable n . sigma, Pauli vector (0, n), for a unit Bloch vector n = (x, y, z),
-    abs(x*x + y*y + z*z - 1) <= BLOCH_UNIT_TOL.  A tuple of three floats with a finite sum,
-    as `fileio` passes, is used as it is; any other input must pass `linalg.as_numbers`."""
-    if not (type(n) is tuple and len(n) == 3 and all(type(v) is float for v in n)
-            and math.isfinite(n[0] + n[1] + n[2])):
-        a = linalg.as_numbers(n, "bloch vectors", np.float64)
-        if a.shape != (3,):
-            raise ValueError(f"bloch vectors must have shape (3,), got {a.shape}")
-        n = tuple(a.tolist())
-    x, y, z = n
+    abs(x*x + y*y + z*z - 1) <= BLOCH_UNIT_TOL; n must pass `linalg.as_floats`."""
+    x, y, z = linalg.as_floats(n, "bloch vectors", 3)
     norm2 = x * x + y * y + z * z
     if not abs(norm2 - 1.0) <= BLOCH_UNIT_TOL:
         raise ValueError(f"bloch vectors must have unit length, got |n|^2 = {norm2!r}")
@@ -118,9 +109,7 @@ class DensityMatrix:
     correlations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix).copy()  # the state owns a copy
-        if m.shape[0] != 4:
-            raise ValueError(f"density matrix must have dim 4, got {m.shape[0]}")
+        m = linalg.as_numbers(self.matrix, "density matrix", np.complex128, (4, 4)).copy()
         if not linalg.is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
@@ -137,10 +126,8 @@ class DensityMatrix:
 
 
 def pure_state(vector) -> DensityMatrix:
-    """Rank-1 projector |v><v| of a normalized 1-D vector of numbers (`linalg.as_numbers`)."""
-    v = linalg.as_numbers(vector, "state vector", np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
+    """Rank-1 projector |v><v| of a normalized 4-vector of numbers (`linalg.as_numbers`)."""
+    v = linalg.as_numbers(vector, "state vector", np.complex128, (4,))
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state vector must be normalized, got norm {nrm!r}")
@@ -191,7 +178,7 @@ class JointDistribution:
     A `DensityMatrix` has eigenvalues >= _EIGENVALUE_FLOOR and trace within
     _TRACE_TOL of 1, so to first order in delta (the rest is below 1e-20)
     r * floor - delta <= cell <= 1 + _TRACE_TOL - (4 - r) * floor + 2 delta.
-    Cells must be real numbers (`linalg.as_numbers`) in [_CELL_LO, _CELL_HI], the widest
+    Cells must pass `linalg.as_floats` and lie in [_CELL_LO, _CELL_HI], the widest
     of these (r = 2 below, r = 1 above) plus 1e-12 for rounding, summing to 1 within _TRACE_TOL."""
 
     p_pp: float
@@ -200,16 +187,14 @@ class JointDistribution:
     p_mm: float
 
     def __post_init__(self):
-        p0, p1, p2, p3 = cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if not (type(p0) is type(p1) is type(p2) is type(p3) is float
-                and math.isfinite(p0 + p1 + p2 + p3)):
-            linalg.as_numbers(cells, "probabilities", np.float64)
+        cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
+        p0, p1, p2, p3 = cells = linalg.as_floats(cells, "probabilities", 4)
         lo, hi = _CELL_LO, _CELL_HI
         if not (lo <= p0 <= hi and lo <= p1 <= hi and lo <= p2 <= hi and lo <= p3 <= hi):
-            raise ValueError(f"probabilities out of range: {[float(x) for x in cells]}")
+            raise ValueError(f"probabilities out of range: {list(cells)}")
         total = 0.0 + p0 + p1 + p2 + p3  # np.sum's order: from +0.0, left to right
         if abs(total - 1.0) > _TRACE_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {float(total)!r}")
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
 
 def pauli_correlations(rho: DensityMatrix) -> np.ndarray:

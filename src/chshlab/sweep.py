@@ -50,8 +50,8 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, init=False)
 class PlanarSettings:
-    """Four x-z plane angles (radians), each one real number (`linalg.as_numbers`),
-    normalized into [0, 2*pi); frozen, so no later rebinding skips the normalization."""
+    """Four x-z plane angles (radians) that pass `linalg.as_floats`, normalized into
+    [0, 2*pi); frozen, so no later rebinding skips the normalization."""
 
     alpha1: float
     alpha2: float
@@ -59,20 +59,15 @@ class PlanarSettings:
     beta2: float
 
     def __init__(self, alpha1: float, alpha2: float, beta1: float, beta2: float):
-        # Four floats with a finite sum pass one test; other input is checked angle by
-        # angle.  t % 2pi is 2pi itself for tiny negative t; reducing twice keeps each
-        # angle in [0, 2pi), so normalizing is idempotent.  Written once, to the dict:
-        # a generated frozen __init__ took 2 us against 0.7 us (Python 3.11)
-        if not (type(alpha1) is type(alpha2) is type(beta1) is type(beta2) is float
-                and math.isfinite(alpha1 + alpha2 + beta1 + beta2)):
-            for name, t in zip(self.__dataclass_fields__, (alpha1, alpha2, beta1, beta2)):
-                if linalg.as_numbers(t, name, np.float64).ndim:
-                    raise ValueError(f"{name} must be one number, got {t!r}")
+        # t % 2pi is 2pi itself for tiny negative t; reducing twice keeps each angle in
+        # [0, 2pi), so normalizing is idempotent.  Written once, to the dict: a generated
+        # frozen __init__ took 2 us against 0.7 us (Python 3.11)
+        a1, a2, b1, b2 = linalg.as_floats((alpha1, alpha2, beta1, beta2), "planar angles", 4)
         d = self.__dict__
-        d["alpha1"] = float(alpha1) % _TWO_PI % _TWO_PI
-        d["alpha2"] = float(alpha2) % _TWO_PI % _TWO_PI
-        d["beta1"] = float(beta1) % _TWO_PI % _TWO_PI
-        d["beta2"] = float(beta2) % _TWO_PI % _TWO_PI
+        d["alpha1"] = a1 % _TWO_PI % _TWO_PI
+        d["alpha2"] = a2 % _TWO_PI % _TWO_PI
+        d["beta1"] = b1 % _TWO_PI % _TWO_PI
+        d["beta2"] = b2 % _TWO_PI % _TWO_PI
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)

@@ -59,6 +59,8 @@ ENTRY_ERRORS = {
     "infinite_angle": ({"a2": {"angle": float("inf")}}, 2, "invalid input: a2.angle: must be finite"),
     "nan_bloch": ({"b1": {"bloch": [float("nan"), 0, 1]}}, 2,
                   "invalid input: b1.bloch: bloch vectors must be finite real numbers"),
+    "infinite_matrix_entry": ({"state": diagonal_spec(float("inf"), 0.0, 0.0, 0.0)}, 2,
+                              "invalid input: state.matrix: density matrix must be finite numbers"),
 }
 
 

@@ -78,7 +78,7 @@ class TestMixtures:
             assert abs(mixture_s_value(m)) <= 2.0 + 1e-10
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError, match="16 weights"):
+        with pytest.raises(ValueError, match=r"^mixture weights must have shape \(16,\), got \(4,\)$"):
             Mixture(np.ones(4) / 4.0)
         with pytest.raises(ValueError, match="nonnegative, min -0.5$"):
             Mixture(np.array([-0.5] + [0.1] * 15))

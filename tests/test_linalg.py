@@ -44,10 +44,10 @@ NUMERIC_INPUTS = {
     "observable_from_bloch": ("bloch vectors", REAL,
                               lambda v: observable_from_bloch([v, 0.0, 1.0]).pauli),
     "Mixture": ("mixture weights", REAL, lambda v: Mixture([1.0, v] + [0.0] * 14).weights),
-    "PlanarSettings": ("alpha2", REAL, lambda v: PlanarSettings(0.5, v, 1.0, 2.0).as_tuple()),
+    "PlanarSettings": ("planar angles", REAL, lambda v: PlanarSettings(0.5, v, 1.0, 2.0).as_tuple()),
     "JointDistribution": ("probabilities", REAL,
                           lambda v: dataclasses.astuple(JointDistribution(0.5, v, 0.25, 0.25))),
-    "DensityMatrix": ("matrix entries", COMPLEX, lambda v: DensityMatrix(
+    "DensityMatrix": ("density matrix", COMPLEX, lambda v: DensityMatrix(
         [[0.5, v, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, 0.5]]).matrix),
     "pure_state": ("state vector", COMPLEX, lambda v: pure_state([1.0, v, 0.0, 0.0]).matrix),
     "hermitian_eigen": ("matrix entries", COMPLEX,
@@ -55,9 +55,19 @@ NUMERIC_INPUTS = {
     "operator_norm": ("matrix entries", COMPLEX, lambda v: linalg.operator_norm(sz_with(v))),
     "commutator": ("matrix entries", COMPLEX, lambda v: linalg.commutator(SIGMA_X, sz_with(v))),
 }
+
+
+def huge_longdouble():
+    """1e4000 as a numpy longdouble, beyond the float64 range, where longdouble reaches it."""
+    if np.log10(np.finfo(np.longdouble).max) < 4000:
+        pytest.skip("numpy's longdouble is no wider than float64 here")
+    return np.longdouble("1e4000")
+
+
+# a callable value is built inside the test
 NOT_NUMBERS = {"bool": True, "str": "0", "None": None, "complex": 1j, "huge-int": 10**400,
-               "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-               "timedelta": np.timedelta64(1, "s")}  # a numpy integer subclass
+               "huge-longdouble": huge_longdouble, "nan": math.nan, "inf": math.inf,
+               "-inf": -math.inf, "timedelta": np.timedelta64(1, "s")}  # a numpy integer subclass
 NUMBERS = {"int": 0, "numpy-int64": np.int64(0), "numpy-int32": np.int32(0),
            "numpy-float64": np.float64(0.0), "numpy-float32": np.float32(0.0)}
 
@@ -70,10 +80,40 @@ NUMBERS = {"int": 0, "numpy-int64": np.int64(0), "numpy-int32": np.int32(0),
 def test_value_that_is_not_a_finite_number_rejected(entry, value):
     # one rule and one message for all: a bool, None or 10**400 used to pass the
     # dtype-only checks or raise TypeError or OverflowError, and NaN or +-inf
-    # failed later, under another name or none
+    # failed later, under another name or none; a longdouble beyond the float64
+    # range also printed numpy's overflow warning
     what, numbers, make = NUMERIC_INPUTS[entry]
+    if callable(value):
+        value = value()
     with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be finite {numbers}')}$"):
         make(value)
+
+
+# every entry point with a fixed shape -> a call with one wrong shape, and its message
+SHAPES = {
+    "Observable": (lambda: Observable([0.0, 0.0, 1.0]),
+                   "observable: Pauli vector must have shape (4,), got (3,)"),
+    "observable_from_bloch": (lambda: observable_from_bloch([[0.0, 0.0, 1.0]]),
+                              "bloch vectors must have shape (3,), got (1, 3)"),
+    "Mixture": (lambda: Mixture(np.full((4, 4), 1 / 16)),
+                "mixture weights must have shape (16,), got (4, 4)"),
+    "PlanarSettings": (lambda: PlanarSettings([0.5], [1.0], [2.0], [3.0]),
+                       "planar angles must have shape (4,), got (4, 1)"),
+    "JointDistribution": (lambda: JointDistribution([0.25], [0.25], [0.25], [0.25]),
+                          "probabilities must have shape (4,), got (4, 1)"),
+    "DensityMatrix": (lambda: DensityMatrix(np.eye(2) / 2),
+                      "density matrix must have shape (4, 4), got (2, 2)"),
+    "pure_state": (lambda: pure_state([1.0, 0.0]), "state vector must have shape (4,), got (2,)"),
+}
+
+
+@pytest.mark.parametrize("make, message", SHAPES.values(), ids=list(SHAPES))
+def test_wrong_shape_rejected(make, message):
+    # one rule and one message: a 4x4 Mixture used to be flattened, a 2-vector
+    # pure_state failed in DensityMatrix, and each class had its own wording.
+    # The linalg functions take any square matrix (TestStacks)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("value", NUMBERS.values(), ids=list(NUMBERS))

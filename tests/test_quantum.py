@@ -99,7 +99,8 @@ class TestObservable:
 
     def test_rejects_wrong_dim(self):
         for bad in ((0.0, 0.0, 1.0), np.eye(2), np.zeros((4, 1)), 1.0):
-            with pytest.raises(ValueError, match="Pauli 4-vector"):
+            message = f"observable: Pauli vector must have shape (4,), got {np.shape(bad)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Observable(bad)
 
     @pytest.mark.parametrize("bad", [("0", "0", "1"), (True, False, False), (True, 0.0, 0.0),
@@ -233,9 +234,10 @@ class TestStates:
             DensityMatrix(np.eye(4, dtype=complex))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-        with pytest.raises(ValueError, match="dim 4, got 3"):
+        with pytest.raises(ValueError, match=r"^density matrix must have shape \(4, 4\), got \(3, 3\)$"):
             DensityMatrix(np.eye(3, dtype=complex) / 3.0)
-        with pytest.raises(ValueError, match="dim 4, got 2"):  # a valid qubit state is not one
+        # a valid qubit state is not one
+        with pytest.raises(ValueError, match=r"^density matrix must have shape \(4, 4\), got \(2, 2\)$"):
             DensityMatrix(np.eye(2) / 2)
         not_hermitian = np.eye(4, dtype=complex) / 4.0
         not_hermitian[0, 1] = 0.25
@@ -244,10 +246,10 @@ class TestStates:
 
     def test_pure_state_requires_normalized_vector(self):
         with pytest.raises(ValueError, match="normalized"):
-            pure_state([1.0, 1.0])
+            pure_state([1.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("vector, message", [
-        ([[1], [0], [0], [0]], "state vector must be 1-D, got shape (4, 1)"),
+        ([[1], [0], [0], [0]], "state vector must have shape (4,), got (4, 1)"),
         (["1", "0", "0", "0"], "state vector must be finite numbers (int, float or complex)"),
         ([True, False, False, False], "state vector must be finite numbers (int, float or complex)"),
     ], ids=["column", "strings", "booleans"])
@@ -258,7 +260,7 @@ class TestStates:
     @pytest.mark.parametrize("matrix", [np.diag([True, False, False, False]), np.full((4, 4), "0")],
                              ids=["booleans", "strings"])
     def test_density_matrix_entries_must_be_numbers(self, matrix):
-        with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
+        with pytest.raises(ValueError, match="density matrix must be finite numbers"):
             DensityMatrix(matrix)
 
     def test_maximally_mixed(self):

@@ -61,8 +61,7 @@ class TestPlanarSettings:
         # NaN, which failed only later, in `Observable`
         angles = [0.5, 1.0, np.float32(2.0), 3]
         angles[position] = bad
-        name = ("alpha1", "alpha2", "beta1", "beta2")[position]
-        message = f"{name} must be finite real numbers (int or float)"
+        message = "planar angles must be finite real numbers (int or float)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PlanarSettings(*angles)
 
@@ -72,9 +71,11 @@ class TestPlanarSettings:
         huge = PlanarSettings(1e308, 1e308, 1e308, 1e308)
         assert huge.as_tuple() == (1e308 % (2.0 * np.pi),) * 4
 
-    @pytest.mark.parametrize("bad", [[0.5], np.array([0.5]), (0.5, 1.0)], ids=repr)
+    @pytest.mark.parametrize("bad", [[0.5], np.array([0.5]), (0.5, 1.0), np.array(0.5)], ids=repr)
     def test_an_angle_is_one_number(self, bad):
-        with pytest.raises(ValueError, match=f"^beta1 must be one number, got {re.escape(repr(bad))}$"):
+        # an array among the angles is not a number, as in any other list the gate takes
+        message = "planar angles must be finite real numbers (int or float)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PlanarSettings(0.5, 1.0, bad, 3.0)
 
     def test_settings_to_scenario_axes(self):
