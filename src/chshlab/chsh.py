@@ -37,6 +37,9 @@ check, which is for matrices from outside: C is Hermitian by construction.
 arrays in one buffer per thread, drawn for a whole block at once from the
 child streams of its seed; `_sphere` writes those generated
 settings, and `random_scenario`'s, as Pauli vectors into one array, unchecked.
+The CHSH facts live here and the other modules read them: `SETTING_NAMES`, the
+pairs `PAIR_LABELS` (`PAIR_A`, `PAIR_B` index the settings each pair measures)
+and the signs of S in `chsh_sum` (`_SUM_DIFF` factors them inside M).
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ import numpy as np
 from . import rng
 from .quantum import PAULI_PRODUCTS, DensityMatrix, Observable, correlation_tensor, pure_state
 
+SETTING_NAMES = ("a1", "a2", "b1", "b2")
+# the settings (indices into SETTING_NAMES) that each setting pair measures
+PAIR_A, PAIR_B = np.array([0, 0, 1, 1], dtype=np.intp), np.array([2, 3, 2, 3], dtype=np.intp)
+PAIR_A.flags.writeable = PAIR_B.flags.writeable = False
+PAIR_LABELS = tuple(SETTING_NAMES[i] + SETTING_NAMES[j] for i, j in zip(PAIR_A, PAIR_B))
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 _SIGNS = (1, -1)  # column order of the identity residuals
@@ -97,7 +105,7 @@ class Scenario:
     state: DensityMatrix | None = None
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
+        for name in SETTING_NAMES:
             if not isinstance(getattr(self, name), Observable):
                 raise ValueError(f"{name}: expected an Observable")
         if self.state is not None and not isinstance(self.state, DensityMatrix):
@@ -105,6 +113,11 @@ class Scenario:
 
     def observables(self) -> tuple[Observable, Observable, Observable, Observable]:
         return self.a1, self.a2, self.b1, self.b2
+
+
+def chsh_sum(e):
+    """S = E11 + E12 + E21 - E22 of four pair values in PAIR_LABELS order, numbers or rows."""
+    return e[0] + e[1] + e[2] - e[3]
 
 
 def chsh_coefficients(vectors) -> np.ndarray:
@@ -282,8 +295,7 @@ def random_scenario(seed: int, state: DensityMatrix | None = None) -> Scenario:
     """Scenario with four independent uniformly random settings: the `_sphere`
     rows of `seed`'s first 8 uniforms, as `verify_identity_sign` draws them."""
     paulis = _sphere(rng.uniforms(seed, 8))
-    return Scenario(*(Observable(c, label=lbl) for c, lbl in zip(paulis, ("a1", "a2", "b1", "b2"))),
-                    state=state)
+    return Scenario(*(Observable(c, label=lbl) for c, lbl in zip(paulis, SETTING_NAMES)), state=state)
 
 
 @dataclass

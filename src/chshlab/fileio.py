@@ -8,13 +8,14 @@ number; strings and booleans are format errors.  Each number is checked
 once, here, and goes on as a plain float: a Bloch vector as a tuple of three
 to `observable_from_bloch`, a matrix as its 32 parts in one
 `np.array(...).view(complex128)`.  Messages are formatted only on failure.
+Settings are named by `chsh.SETTING_NAMES` and a run's pairs by `chsh.PAIR_LABELS`.
 Report files are written, never read back here: they wrap the typed payload
 together with the tool version and an echo of the inputs.  Payloads are
-built from each result's fields with `vars`, a shallow copy: the fields are
-already plain floats, ints, strings and lists, so a deep copy
-(`dataclasses.asdict`) would only copy them again.  Floats serialize through
-`repr`, so `json.loads` (or `csv` for the sweep table) recovers every double
-exactly.
+`vars` of each result, a shallow copy in field order with only the nested
+lists rewritten: the fields are already plain floats, ints, strings and
+lists, so a deep copy (`dataclasses.asdict`) would only copy them again;
+the sweep CSV reads `SWEEP_CSV_COLUMNS` off each row.  Floats serialize
+through `repr`, so `json.loads` (or `csv`) recovers every double exactly.
 
 `dumps` writes the bytes of `json.dumps(doc, indent=2, allow_nan=False)`
 plus a newline, but not through `json`: with `indent`, `json` falls back to
@@ -35,7 +36,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .chsh import Report, Scenario
+from .chsh import PAIR_LABELS, SETTING_NAMES, Report, Scenario
 from .quantum import (
     BELL_STATE_NAMES,
     DensityMatrix,
@@ -44,7 +45,7 @@ from .quantum import (
     maximally_mixed,
     observable_from_bloch,
 )
-from .sampler import PAIR_LABELS, RunResult
+from .sampler import RunResult
 from .sweep import SweepResult, SweepRow, _planar_pauli
 
 STATE_NAMES = BELL_STATE_NAMES + ("maximally_mixed",)
@@ -127,11 +128,11 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise FormatError("scenario: expected a JSON object")
     obs = {}
-    for name in ("a1", "a2", "b1", "b2"):
+    for name in SETTING_NAMES:
         if name not in doc:
             raise FormatError(f"scenario: missing field {name!r}")
         obs[name] = observable_from_spec(doc[name], name)
-    return Scenario(obs["a1"], obs["a2"], obs["b1"], obs["b2"], state=state_from_spec(doc.get("state")))
+    return Scenario(**obs, state=state_from_spec(doc.get("state")))
 
 
 def parse_scenario(text: str) -> tuple[Scenario, dict]:
@@ -156,16 +157,8 @@ def report_to_dict(r: Report) -> dict:
 
 
 def run_result_to_dict(r: RunResult) -> dict:
-    return {
-        "seed": r.seed,
-        "shots_per_pair": r.shots_per_pair,
-        "counts": [
-            {"pair": label, **vars(c)} for label, c in zip(PAIR_LABELS, r.counts)
-        ],
-        "e_hat": list(r.e_hat),
-        "s_hat": r.s_hat,
-        "s_stderr": r.s_stderr,
-    }
+    return {**vars(r), "counts": [{"pair": label, **vars(c)} for label, c in zip(PAIR_LABELS, r.counts)],
+            "e_hat": list(r.e_hat)}
 
 
 def _row_to_dict(row: SweepRow) -> dict:
@@ -173,22 +166,12 @@ def _row_to_dict(row: SweepRow) -> dict:
 
 
 def sweep_result_to_dict(r: SweepResult) -> dict:
-    return {
-        "phi_steps": r.phi_steps,
-        "rows": [_row_to_dict(row) for row in r.rows],
-        "best": _row_to_dict(r.best),
-    }
+    return {**vars(r), "rows": [_row_to_dict(row) for row in r.rows], "best": _row_to_dict(r.best)}
 
 
 def sweep_result_to_csv(r: SweepResult) -> str:
     lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for row in r.rows:
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (row.phi, row.comm_a_norm, row.comm_b_norm, row.max_s, row.s_singlet)
-            )
-        )
+    lines += (",".join(repr(getattr(row, c)) for c in SWEEP_CSV_COLUMNS) for row in r.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,9 @@ A strategy fixes all four local outcomes in advance, independent of what is
 measured on the other side; the 16 assignments exhaust the deterministic
 possibilities and their mixtures form the local polytope.  The classical
 CHSH bound |S| <= 2 is a brute-force fact over these 16 points, in exact
-integer arithmetic.
+integer arithmetic.  The strategies are one read-only (16, 4) table, columns
+in `chsh.SETTING_NAMES` order; their pair products a_i b_j (`chsh.PAIR_A`,
+`chsh.PAIR_B`) are another, and every S here is `chsh.chsh_sum` of them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .chsh import PAIR_A, PAIR_B, chsh_sum
 
 
 class Strategy(NamedTuple):
@@ -25,23 +28,28 @@ class Strategy(NamedTuple):
     b2: int
 
 
+_TABLE = np.array(list(itertools.product((1, -1), repeat=4)))
+_PRODUCTS = _TABLE[:, PAIR_A] * _TABLE[:, PAIR_B]
+_TABLE.flags.writeable = _PRODUCTS.flags.writeable = False
+
+
 def enumerate_strategies() -> list[Strategy]:
     """All 16 outcome assignments, lexicographic with +1 before -1."""
-    return [Strategy(*t) for t in itertools.product((1, -1), repeat=4)]
+    return [Strategy(*t) for t in _TABLE.tolist()]
 
 
 def strategy_s_value(st: Strategy) -> int:
-    """a1*b1 + a1*b2 + a2*b1 - a2*b2; always -2 or +2."""
-    return st.a1 * st.b1 + st.a1 * st.b2 + st.a2 * st.b1 - st.a2 * st.b2
+    """S of the strategy's pair products a_i b_j; always -2 or +2."""
+    return chsh_sum([st[i] * st[j] for i, j in zip(PAIR_A.tolist(), PAIR_B.tolist())])
 
 
 def classical_max() -> int:
     """Largest S any deterministic strategy reaches: exactly 2."""
-    return max(strategy_s_value(st) for st in enumerate_strategies())
+    return max(chsh_sum(_PRODUCTS.T).tolist())
 
 
 def classical_min() -> int:
-    return min(strategy_s_value(st) for st in enumerate_strategies())
+    return min(chsh_sum(_PRODUCTS.T).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,17 +71,10 @@ class Mixture:
 
 
 def mixture_correlations(mix: Mixture) -> tuple[float, float, float, float]:
-    """(E11, E12, E21, E22) with E_ij = sum_lambda w_lambda a_i b_j."""
-    strategies = enumerate_strategies()
-    e = [0.0, 0.0, 0.0, 0.0]
-    for w, st in zip(mix.weights, strategies):
-        e[0] += w * st.a1 * st.b1
-        e[1] += w * st.a1 * st.b2
-        e[2] += w * st.a2 * st.b1
-        e[3] += w * st.a2 * st.b2
-    return tuple(e)
+    """(E11, E12, E21, E22) with E_ij = sum_lambda w_lambda a_i b_j, summed in
+    enumeration order (a running sum: `@` or `np.sum` would regroup the terms)."""
+    return tuple(np.cumsum(mix.weights[:, None] * _PRODUCTS, axis=0)[-1].tolist())
 
 
 def mixture_s_value(mix: Mixture) -> float:
-    e11, e12, e21, e22 = mixture_correlations(mix)
-    return e11 + e12 + e21 - e22
+    return chsh_sum(mixture_correlations(mix))

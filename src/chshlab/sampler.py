@@ -3,7 +3,8 @@
 Reproducibility contract: every random draw comes from the counter-based
 generator in `rng`, so identical configurations give bit-identical results
 on any platform.  The master seed spawns one child stream per setting pair
-in the fixed order a1b1, a1b2, a2b1, a2b2 (pair index 0..3).  A run builds
+in `chsh.PAIR_LABELS` order (settings `chsh.PAIR_A`, `chsh.PAIR_B`), and
+s_hat is `chsh.chsh_sum` of the four estimates.  A run builds
 one Born table: the state's R (`DensityMatrix.correlations`, computed once
 when the state is built, which `chsh.s_value` reads too), then the four
 pairs' cells (1/4)(e0 + alpha a)^T R (e0 + beta b) in one stacked product
@@ -17,8 +18,8 @@ that `rng` builds at import), and the raw outputs are counted
 below L_k * 2**11, which holds exactly when t < L_k; L_k = 2**53 counts
 every output.  Scaling by a power of two is exact, so the differences of
 these counts are the cells of the per-shot lookup, bit for bit, in memory
-that does not grow with shots.  `sample_pair` is the one-pair case of the
-same table and counting.
+that does not grow with shots; `_count` takes any number of limits.
+`sample_pair` is the one-pair case of the same table and counting.
 
 When calling `sample_pair` directly with many seeds, derive them through
 `rng.child_seed` rather than using consecutive integers: splitmix64 streams
@@ -33,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .chsh import Scenario
+from .chsh import PAIR_A, PAIR_B, PAIR_LABELS, Scenario, chsh_sum
 from .quantum import DensityMatrix, JointDistribution, Observable, _born_cells
 
-PAIR_LABELS = ("a1b1", "a1b2", "a2b1", "a2b2")
 _EVERY = 1 << 53  # a CDF limit that every 53-bit t lies below
 
 
@@ -72,19 +72,19 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Counts and estimates of one full four-pair run.
+    """Counts and estimates of one full four-pair run, fields in document order.
 
-    e_hat follows PAIR_LABELS order; s_hat = e11 + e12 + e21 - e22 and
+    counts and e_hat follow PAIR_LABELS order; s_hat = `chsh_sum(e_hat)` and
     s_stderr = sqrt(sum_ij (1 - e_ij^2) / shots), each variance clamped
     at zero.
     """
 
+    seed: int
+    shots_per_pair: int
     counts: list[PairCounts]
     e_hat: list[float]
     s_hat: float
     s_stderr: float
-    seed: int
-    shots_per_pair: int
 
 
 def sample_pair(
@@ -111,13 +111,14 @@ def _sample(cells: np.ndarray, shots: int, seeds) -> list[PairCounts]:
         JointDistribution(*row)
     cdf = np.cumsum(np.maximum(cells, 0.0), axis=1)
     cdf /= cdf[:, -1:]
-    limits = np.ceil(cdf[:, :3] * 2.0**53).astype(np.uint64).tolist()
-    return [_count(lims, shots, seed) for lims, seed in zip(limits, seeds)]
+    limits = np.ceil(cdf[:, :-1] * 2.0**53).astype(np.uint64).tolist()
+    return [PairCounts(*_count(lims, shots, seed)) for lims, seed in zip(limits, seeds)]
 
 
-def _count(limits: list[int], shots: int, seed: int) -> PairCounts:
-    """The four cells of `shots` outputs of stream `seed` against one pair's
-    CDF limits L_k = ceil(cdf_k * 2**53), k = 0, 1, 2 (non-decreasing).
+def _count(limits: list[int], shots: int, seed: int) -> list[int]:
+    """The len(limits) + 1 cells of `shots` outputs of stream `seed` against
+    CDF limits L_k = ceil(cdf_k * 2**53) (non-decreasing): cell k holds the
+    outputs with L_(k-1) <= t < L_k, from L_(-1) = 0 to L_(len) = 2**53.
 
     t = raw >> 11 lies below L exactly when raw < L * 2**11, so the raw
     outputs are compared as they come; L = 2**53 counts every output and
@@ -130,8 +131,8 @@ def _count(limits: list[int], shots: int, seed: int) -> PairCounts:
     for raw in rng._blocks(seed, shots):
         for lim, bound in scan:
             below[lim] += int(np.count_nonzero(raw < bound))
-    b0, b1, b2 = (below[lim] for lim in limits)
-    return PairCounts(b0, b1 - b0, b2 - b1, shots - b2)
+    edges = [0, *(below[lim] for lim in limits), shots]
+    return [hi - lo for lo, hi in zip(edges, edges[1:])]
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:
@@ -139,18 +140,11 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     sc = cfg.scenario
     if sc.state is None:
         raise ValueError("scenario has no state; a Bell run needs one")
-    a = np.array([sc.a1.pauli, sc.a1.pauli, sc.a2.pauli, sc.a2.pauli])
-    b = np.array([sc.b1.pauli, sc.b2.pauli, sc.b1.pauli, sc.b2.pauli])
+    v = np.array([o.pauli for o in sc.observables()])
     seeds = [rng.child_seed(cfg.seed, i) for i in range(len(PAIR_LABELS))]
-    counts = _sample(_born_cells(sc.state.correlations, a, b), cfg.shots_per_pair, seeds)
+    cells = _born_cells(sc.state.correlations, v.take(PAIR_A, 0), v.take(PAIR_B, 0))
+    counts = _sample(cells, cfg.shots_per_pair, seeds)
     e_hat = [c.correlation_estimate() for c in counts]
-    s_hat = e_hat[0] + e_hat[1] + e_hat[2] - e_hat[3]
     var = sum(max(0.0, 1.0 - e * e) / cfg.shots_per_pair for e in e_hat)
-    return RunResult(
-        counts=counts,
-        e_hat=e_hat,
-        s_hat=s_hat,
-        s_stderr=float(np.sqrt(var)),
-        seed=cfg.seed,
-        shots_per_pair=cfg.shots_per_pair,
-    )
+    return RunResult(seed=cfg.seed, shots_per_pair=cfg.shots_per_pair, counts=counts, e_hat=e_hat,
+                     s_hat=chsh_sum(e_hat), s_stderr=float(np.sqrt(var)))

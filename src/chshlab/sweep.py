@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rng
-from .chsh import Scenario, _chsh_pass, _s_at, chsh_coefficients
+from .chsh import SETTING_NAMES, Scenario, _chsh_pass, _s_at, chsh_coefficients
 from .quantum import DensityMatrix, Observable
 
 _TWO_PI = 2.0 * np.pi
@@ -75,8 +75,7 @@ class PlanarSettings:
 
 def settings_to_scenario(ps: PlanarSettings, state: DensityMatrix | None = None) -> Scenario:
     """Realize planar angles as observables with Pauli vectors (0, sin t, 0, cos t)."""
-    obs = [Observable(c, label=lbl)
-           for c, lbl in zip(_planar_pauli(ps.as_tuple()), ("a1", "a2", "b1", "b2"))]
+    obs = [Observable(c, label=lbl) for c, lbl in zip(_planar_pauli(ps.as_tuple()), SETTING_NAMES)]
     return Scenario(*obs, state=state)
 
 
@@ -92,9 +91,9 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    phi_steps: int
     rows: list[SweepRow]
     best: SweepRow
-    phi_steps: int
 
 
 @dataclass
@@ -197,4 +196,4 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
             phis, settings, p.commutator_norms.tolist(), max_s.tolist(), s_values.ravel().tolist())
     ]
     best = rows[int(np.argmax(max_s))]
-    return SweepResult(rows=rows, best=best, phi_steps=phi_steps)
+    return SweepResult(phi_steps=phi_steps, rows=rows, best=best)

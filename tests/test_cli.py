@@ -397,6 +397,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "classical max S: 2" in proc.stdout
 
+    def test_version_imports_the_whole_package(self):
+        # setup_s times this command as the cost of loading all of chshlab; cli
+        # runs as __main__, so the loaded modules are the package and its other eight
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "chshlab.cli", "--version"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0 and proc.stdout == f"chshlab {__version__}\n"
+        loaded = {ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
+                  if ln.startswith("import time:")}
+        modules = ("chsh", "fileio", "lhv", "linalg", "quantum", "rng", "sampler", "sweep")
+        assert {m for m in loaded if m.split(".")[0] == "chshlab"} == {
+            "chshlab", *(f"chshlab.{m}" for m in modules)}
+
     def test_readme_library_example_runs(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
             block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)

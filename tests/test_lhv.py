@@ -3,15 +3,23 @@ import pytest
 
 from chshlab import (
     Mixture,
+    Observable,
+    Scenario,
     Strategy,
+    analyze,
+    bell_state,
     classical_max,
     classical_min,
     enumerate_strategies,
     mixture_correlations,
+    maximally_mixed,
     mixture_s_value,
+    s_value,
     strategy_s_value,
 )
 from chshlab import rng
+
+from helpers import random_density
 
 
 class TestEnumeration:
@@ -87,3 +95,44 @@ class TestMixtures:
         for typed in (["0.0625"] * 16, [True] + [False] * 15, [float("nan")] * 16):
             with pytest.raises(ValueError, match="mixture weights must be finite real numbers"):
                 Mixture(typed)
+
+
+@pytest.mark.parametrize("st", enumerate_strategies(), ids=lambda st: "".join("+-"[v < 0] for v in st))
+def test_a_strategy_is_a_scenario_of_compatible_settings(st):
+    # outcome v of a setting is the observable v I; on every state E_ij = a_i b_j tr(rho),
+    # so the CHSH kernel's S is the strategy's, times tr(rho) as R holds it (R[0, 0],
+    # 1 - 2**-52 for psi_minus); both sides commute, so no state violates
+    settings = [Observable((v, 0, 0, 0)) for v in st]
+    for state in (bell_state("psi_minus"), maximally_mixed(), random_density(np.random.default_rng(31))):
+        assert s_value(Scenario(*settings, state=state)) == strategy_s_value(st) * state.correlations[0, 0]
+    assert s_value(Scenario(*settings, state=maximally_mixed())) == strategy_s_value(st)
+    report = analyze(Scenario(*settings))
+    assert (report.comm_a_norm, report.comm_b_norm) == (0.0, 0.0)
+    assert report.violates is False
+
+
+def unrolled_correlations(mix):
+    """The loop `mixture_correlations` replaced, kept as the reference for its bits."""
+    e = [0.0, 0.0, 0.0, 0.0]
+    for w, st in zip(mix.weights, enumerate_strategies()):
+        e[0] += w * st.a1 * st.b1
+        e[1] += w * st.a1 * st.b2
+        e[2] += w * st.a2 * st.b1
+        e[3] += w * st.a2 * st.b2
+    return e
+
+
+def test_mixture_correlations_keep_the_unrolled_loops_bits():
+    # a running sum in enumeration order; `@` or `np.sum` would regroup the 16 terms
+    for k in range(2000):
+        w = rng.uniforms(rng.child_seed(31, k), 16)
+        if k % 3 == 0:
+            w[k % 16] = 0.0  # a zero term
+        if k % 5 == 0:
+            w = w**6  # weights over many binades
+        m = Mixture(w / w.sum())
+        want = unrolled_correlations(m)
+        got = mixture_correlations(m)
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]
+        assert mixture_s_value(m).hex() == float(want[0] + want[1] + want[2] - want[3]).hex()

@@ -392,10 +392,13 @@ class TestStackedRun:
 
 @pytest.mark.parametrize("n", [1, 2 * _CHUNK - 1, 2 * _CHUNK + 3, 5 * _CHUNK])
 def test_counts_are_the_streams_own(n):
-    # over several blocks of the step table, `_count` is the count of the
-    # stream's own top 53 bits below each limit
-    limits = [1 << 51, 1 << 52, 3 << 51]
+    # over several blocks of the step table, `_count`'s len(limits) + 1 cells
+    # place the stream's own top 53 bits t by the sorted limits: cell k holds
+    # L_(k-1) <= t < L_k; a repeated limit, 0 and 2**53 leave empty cells
     t = rng.raw64(11, n) >> np.uint64(11)
-    below = [int(np.count_nonzero(t < np.uint64(lim))) for lim in limits]
-    want = PairCounts(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
-    assert sampler._count(limits, n, 11) == want
+    for limits in ([1 << 52],
+                   [1 << 51, 1 << 52, 3 << 51],
+                   [0, 1 << 50, 1 << 51, 1 << 51, 3 << 51, (1 << 53) - 1, 1 << 53]):
+        cells = np.searchsorted(np.array(limits, dtype=np.uint64), t, side="right")
+        want = np.bincount(cells, minlength=len(limits) + 1).tolist()
+        assert sampler._count(limits, n, 11) == want
