@@ -18,7 +18,7 @@ import argparse
 import functools
 import sys
 
-from . import __version__, fileio
+from . import __version__, fileio, quantum
 from .chsh import IDENTITY_SEED, IDENTITY_TRIALS, analyze, s_value, verify_identity_sign
 from .lhv import classical_max, classical_min, enumerate_strategies, strategy_s_value
 from .sampler import RunConfig, run_experiment
@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="incompatibility sweep")
     p.add_argument("--phi-steps", type=int, default=19, help="grid points over [0, pi/2]")
-    p.add_argument("--state", default="psi_minus", help="named state for the S column")
+    p.add_argument("--state", default="psi_minus", help="named state for the S column: "
+                   + ", ".join(quantum.STATE_NAMES))
     p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     p.add_argument("--output", metavar="PATH", help=output_help)
 

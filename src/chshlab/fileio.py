@@ -2,12 +2,12 @@
 
 Scenario files are JSON with explicit field names: one object per setting
 (`{"bloch": [x, y, z]}` or `{"angle": t}`) plus an optional `state` that is
-either a named state, an explicit 4x4 density matrix as row-major
-`[re, im]` pairs, or null.  Every number in a scenario must be a JSON
-number; strings and booleans are format errors.  Each number is checked
-once, here, and goes on as a plain float: a Bloch vector as a tuple of three
-to `observable_from_bloch`, a matrix as its 32 parts in one
-`np.array(...).view(complex128)`.  Messages are formatted only on failure.
+a name in `quantum.STATE_NAMES` (built by `quantum.named_state`), an explicit
+4x4 density matrix as row-major `[re, im]` pairs, or null.  Every number in
+a scenario must be a JSON number; strings and booleans are format errors.
+Each number is checked once, here, and goes on as a plain float: a Bloch
+vector as a tuple of three to `observable_from_bloch`, a matrix as its 32
+parts in one `np.array(...).view(complex128)`.  Messages are formatted only on failure.
 Settings are named by `chsh.SETTING_NAMES` and a run's pairs by `chsh.PAIR_LABELS`.
 Report files are written, never read back here: they wrap the typed payload
 together with the tool version and an echo of the inputs.  Payloads are
@@ -37,18 +37,10 @@ import numpy as np
 
 from . import __version__
 from .chsh import PAIR_LABELS, SETTING_NAMES, Report, Scenario
-from .quantum import (
-    BELL_STATE_NAMES,
-    DensityMatrix,
-    Observable,
-    bell_state,
-    maximally_mixed,
-    observable_from_bloch,
-)
+from .quantum import STATE_NAMES, DensityMatrix, Observable, named_state, observable_from_bloch
 from .sampler import RunResult
 from .sweep import SweepResult, SweepRow, _planar_pauli
 
-STATE_NAMES = BELL_STATE_NAMES + ("maximally_mixed",)
 SWEEP_CSV_COLUMNS = ("phi", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet")
 
 
@@ -95,13 +87,9 @@ def state_from_spec(spec) -> DensityMatrix | None:
     if spec is None:
         return None
     if isinstance(spec, str):
-        if spec == "maximally_mixed":
-            return maximally_mixed()
-        if spec in BELL_STATE_NAMES:
-            return bell_state(spec)
-        raise ValueError(
-            f"state: unknown name {spec!r}; valid names: {', '.join(STATE_NAMES)}"
-        )
+        if spec not in STATE_NAMES:
+            raise ValueError(f"state: unknown name {spec!r}; valid names: {', '.join(STATE_NAMES)}")
+        return named_state(spec)
     if not (isinstance(spec, dict) and "matrix" in spec):
         raise FormatError("state: expected a name or a 'matrix' object")
     rows = spec["matrix"]

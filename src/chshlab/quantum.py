@@ -14,6 +14,9 @@ c, a state as its real 4x4 R_mu,nu = tr(rho sigma_mu x sigma_nu)
 E(a, b) = a^T R b, p(alpha, beta) = (1/4)(e0 + alpha a)^T R (e0 + beta b),
 and the correlation tensor is R[1:, 1:].
 
+The named states (`STATE_NAMES`) live here only: `named_state` builds each
+exactly from its diagonal R; `fileio` and the CLI read the names here.
+
 Tensor-order convention, used everywhere in this package: party A is the
 left Kronecker factor, party B the right one.
 """
@@ -48,7 +51,16 @@ _EFFECT_SLACK = 0.5 * (math.sqrt(1.0 + OBSERVABLE_TOL) - 1.0)  # delta, see Join
 _CELL_LO = 2.0 * _EIGENVALUE_FLOOR - _EFFECT_SLACK - 1e-12
 _CELL_HI = 1.0 + _TRACE_TOL - 3.0 * _EIGENVALUE_FLOOR + 2.0 * _EFFECT_SLACK + 1e-12
 
-BELL_STATE_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+# diag R = (R_00, R_xx, R_yy, R_zz) of each named state (Horodecki et al., PLA 200, 340 (1995))
+_DIAGONALS = {
+    "phi_plus": (1, 1, -1, 1),
+    "phi_minus": (1, -1, 1, 1),
+    "psi_plus": (1, 1, 1, -1),
+    "psi_minus": (1, -1, -1, -1),
+    "maximally_mixed": (1, 0, 0, 0),
+}
+STATE_NAMES = tuple(_DIAGONALS)
+BELL_STATE_NAMES = STATE_NAMES[:4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,34 +146,31 @@ def pure_state(vector) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-_BELL_VECTORS = {
-    "phi_plus": np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2.0),
-    "phi_minus": np.array([1, 0, 0, -1], dtype=np.complex128) / np.sqrt(2.0),
-    "psi_plus": np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2.0),
-    "psi_minus": np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2.0),
-}
-
-
 @functools.cache
-def bell_state(name: str) -> DensityMatrix:
-    """One of the four maximally entangled states, as a rank-1 projector.
+def named_state(name: str) -> DensityMatrix:
+    """rho = (1/4) sum_mu d_mu sigma_mu x sigma_mu for d = `_DIAGONALS[name]`, so R = diag(d).
 
-    psi_minus is the singlet (|01> - |10>)/sqrt(2), the state with
-    correlation E(u, v) = -u.v for Bloch directions u, v.  Each state is
-    built once and shared: a DensityMatrix is frozen and read-only.  An
-    unknown name is not cached, so it raises on every call.
+    Every entry of rho is 0, +-1/4 or +-1/2, exact in binary: tr rho is 1.0 and
+    a Bell state is a projector bit for bit.  Each state is built once and
+    shared (a DensityMatrix is frozen and read-only); an unknown name is not
+    cached, so it raises on every call.
     """
-    if name not in _BELL_VECTORS:
-        raise ValueError(
-            f"unknown Bell state {name!r}; expected one of {', '.join(BELL_STATE_NAMES)}"
-        )
-    return pure_state(_BELL_VECTORS[name])
+    if name not in _DIAGONALS:
+        raise ValueError(f"unknown state {name!r}; expected one of {', '.join(STATE_NAMES)}")
+    return DensityMatrix(np.einsum("m,mmij->ij", _DIAGONALS[name], PAULI_PRODUCTS) / 4)
 
 
-@functools.cache
+def bell_state(name: str) -> DensityMatrix:
+    """The Bell state `named_state(name)`; psi_minus is the singlet (|01> - |10>)/sqrt(2),
+    the state with correlation E(u, v) = -u.v for Bloch directions u, v."""
+    if name not in _DIAGONALS or name not in BELL_STATE_NAMES:  # dict first: TypeError if unhashable
+        raise ValueError(f"unknown Bell state {name!r}; expected one of {', '.join(BELL_STATE_NAMES)}")
+    return named_state(name)
+
+
 def maximally_mixed() -> DensityMatrix:
-    """I/4, built once and shared like `bell_state`'s states."""
-    return DensityMatrix(np.eye(4, dtype=np.complex128) / 4)
+    """I/4, the shared named state of that name."""
+    return named_state("maximally_mixed")
 
 
 @dataclass(frozen=True)

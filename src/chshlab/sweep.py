@@ -2,11 +2,11 @@
 
 Settings live in the x-z plane: angle t means cos(t)*sz + sin(t)*sx, i.e.
 the Bloch vector (sin t, 0, cos t), whose x-z components are
-e(t) = (sin t, cos t).  For the named states (the Bell states, whose
-correlation tensor is diagonal with entries +-1, and `maximally_mixed`) this
-loses nothing of the maximum over all settings.  For a general state it can
-lose a lot: `chsh.max_s_over_settings` gives the full optimum, and full
-Bloch input remains available through the engine API.
+e(t) = (sin t, cos t).  For the named states (`quantum.STATE_NAMES`: the
+Bell states, whose correlation tensor is diagonal with entries +-1, and
+`maximally_mixed`) this loses nothing of the maximum over all settings.  For
+a general state it can lose a lot: `chsh.max_s_over_settings` gives the full
+optimum, and full Bloch input remains available through the engine API.
 
 Both searches are closed forms on the x-z block T of
 R = `quantum.pauli_correlations`, where S = a1^T T (b1 + b2) + a2^T T (b1 - b2):

@@ -294,6 +294,12 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "psi_minus" in err and "maximally_mixed" in err
 
+    def test_state_help_lists_the_names(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sweep", "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
+        assert f"named state for the S column: {', '.join(quantum.STATE_NAMES)}" in out
+
     def test_phi_steps_validated(self, capsys):
         assert main(["sweep", "--phi-steps", "1"]) == 2
 

@@ -7,17 +7,16 @@ from chshlab import (
     Scenario,
     Strategy,
     analyze,
-    bell_state,
     classical_max,
     classical_min,
     enumerate_strategies,
     mixture_correlations,
-    maximally_mixed,
     mixture_s_value,
     s_value,
     strategy_s_value,
 )
 from chshlab import rng
+from chshlab.quantum import STATE_NAMES, named_state
 
 from helpers import random_density
 
@@ -100,12 +99,13 @@ class TestMixtures:
 @pytest.mark.parametrize("st", enumerate_strategies(), ids=lambda st: "".join("+-"[v < 0] for v in st))
 def test_a_strategy_is_a_scenario_of_compatible_settings(st):
     # outcome v of a setting is the observable v I; on every state E_ij = a_i b_j tr(rho),
-    # so the CHSH kernel's S is the strategy's, times tr(rho) as R holds it (R[0, 0],
-    # 1 - 2**-52 for psi_minus); both sides commute, so no state violates
+    # so the CHSH kernel's S is the strategy's, times tr(rho) as R holds it (R[0, 0]):
+    # exactly 1.0 at every named state; both sides commute, so no state violates
     settings = [Observable((v, 0, 0, 0)) for v in st]
-    for state in (bell_state("psi_minus"), maximally_mixed(), random_density(np.random.default_rng(31))):
-        assert s_value(Scenario(*settings, state=state)) == strategy_s_value(st) * state.correlations[0, 0]
-    assert s_value(Scenario(*settings, state=maximally_mixed())) == strategy_s_value(st)
+    for name in STATE_NAMES:
+        assert s_value(Scenario(*settings, state=named_state(name))) == strategy_s_value(st)
+    state = random_density(np.random.default_rng(31))  # R[0, 0] is 1 - 2**-52 here
+    assert s_value(Scenario(*settings, state=state)) == strategy_s_value(st) * state.correlations[0, 0]
     report = analyze(Scenario(*settings))
     assert (report.comm_a_norm, report.comm_b_norm) == (0.0, 0.0)
     assert report.violates is False

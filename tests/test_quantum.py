@@ -24,7 +24,7 @@ from chshlab import (
     s_value,
     sample_pair,
 )
-from chshlab import quantum
+from chshlab import fileio, quantum
 from chshlab.linalg import hermitian_eigen
 from chshlab.quantum import (
     BELL_STATE_NAMES,
@@ -35,7 +35,9 @@ from chshlab.quantum import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    STATE_NAMES,
     JointDistribution,
+    named_state,
     pauli_correlations,
 )
 
@@ -309,6 +311,65 @@ class TestStates:
         sc = Scenario(*(observable_from_bloch(n) for n in ((0, 0, 1), (1, 0, 0),
                                                             (0, 0, 1), (1, 0, 0))), state=rho)
         assert s_value(sc) == 0.0
+
+
+# (R_00, R_xx, R_yy, R_zz) of each named state, written out here as the reference
+PAULI_DIAGONALS = {
+    "phi_plus": (1, 1, -1, 1),
+    "phi_minus": (1, -1, 1, 1),
+    "psi_plus": (1, 1, 1, -1),
+    "psi_minus": (1, -1, -1, -1),
+    "maximally_mixed": (1, 0, 0, 0),
+}
+TEXTBOOK_BELL_VECTORS = {
+    "phi_plus": np.array([1, 0, 0, 1]) / np.sqrt(2.0),
+    "phi_minus": np.array([1, 0, 0, -1]) / np.sqrt(2.0),
+    "psi_plus": np.array([0, 1, 1, 0]) / np.sqrt(2.0),
+    "psi_minus": np.array([0, 1, -1, 0]) / np.sqrt(2.0),
+}
+
+
+class TestNamedStates:
+    def test_names(self):
+        assert STATE_NAMES == tuple(PAULI_DIAGONALS)
+        assert BELL_STATE_NAMES == STATE_NAMES[:4]
+        assert fileio.STATE_NAMES is quantum.STATE_NAMES
+
+    @pytest.mark.parametrize("name", list(PAULI_DIAGONALS))
+    def test_state_is_exactly_its_pauli_diagonal(self, name):
+        rho = named_state(name)
+        assert np.array_equal(rho.correlations, np.diag(PAULI_DIAGONALS[name]))
+        assert np.trace(rho.matrix) == 1.0
+        if name in BELL_STATE_NAMES:
+            assert np.array_equal(rho.matrix @ rho.matrix, rho.matrix)
+
+    @pytest.mark.parametrize("name", list(TEXTBOOK_BELL_VECTORS))
+    def test_bell_state_is_the_textbook_projector(self, name):
+        v = TEXTBOOK_BELL_VECTORS[name]
+        assert np.max(np.abs(bell_state(name).matrix - np.outer(v, v))) <= 3e-16
+
+    def test_wrappers_return_the_named_state(self):
+        for name in BELL_STATE_NAMES:
+            assert bell_state(name) is named_state(name)
+        assert maximally_mixed() is named_state("maximally_mixed")
+        assert fileio.state_from_spec("psi_minus") is named_state("psi_minus")
+
+    @pytest.mark.parametrize("make, want", [
+        (named_state, "unknown state 'sigma_plus'; expected one of "
+                      "phi_plus, phi_minus, psi_plus, psi_minus, maximally_mixed"),
+        (fileio.state_from_spec, "state: unknown name 'sigma_plus'; valid names: "
+                                 "phi_plus, phi_minus, psi_plus, psi_minus, maximally_mixed"),
+    ], ids=["named_state", "state_from_spec"])
+    def test_unknown_name_message(self, make, want):
+        # bell_state's own message is pinned by TestStates.test_unknown_bell_name_message
+        for _ in range(2):  # a failed lookup is never cached
+            with pytest.raises(ValueError) as exc:
+                make("sigma_plus")
+            assert str(exc.value) == want
+
+    def test_maximally_mixed_is_not_a_bell_state(self):
+        with pytest.raises(ValueError, match="^unknown Bell state 'maximally_mixed'; "):
+            bell_state("maximally_mixed")
 
 
 class TestJointDistribution:

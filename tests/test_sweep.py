@@ -20,7 +20,7 @@ from chshlab import (
 )
 from chshlab.chsh import _chsh_pass
 from chshlab.linalg import operator_norm
-from chshlab.quantum import SIGMA_X, SIGMA_Z, DensityMatrix
+from chshlab.quantum import BELL_STATE_NAMES, SIGMA_X, SIGMA_Z, DensityMatrix
 from chshlab.sweep import _planar_pauli
 
 from helpers import frobenius, random_density, random_pure_density
@@ -171,13 +171,13 @@ class TestIncompatibilitySweep:
         # beta1 = pi + phi/2, beta2 = pi/2 + phi/2
         want = [
             ((0.0, 0.0, 3.141592653589793, 1.5707963267948966),
-             1.9999999999999996, 2.0),
+             2.0, 2.0),
             ((0.0, 0.39269908169872414, 3.3379421944391554, 1.7671458676442588),
-             2.351751204838717, 2.3517512048387172),
+             2.3517512048387177, 2.3517512048387172),
             ((0.0, 0.7853981633974483, 3.5342917352885173, 1.9634954084936207),
-             2.6131259297527523, 2.613125929752753),
+             2.613125929752753, 2.613125929752753),
             ((0.0, 1.1780972450961724, 3.7306412761378795, 2.159844949342983),
-             2.7740796906442946, 2.774079690644295),
+             2.774079690644295, 2.774079690644295),
             ((0.0, 1.5707963267948966, 3.9269908169872414, 2.356194490192345),
              2.82842712474619, 2.8284271247461903),
         ]
@@ -194,6 +194,14 @@ class TestIncompatibilitySweep:
         for row in sweep.rows:
             assert abs(row.s_singlet - row.max_s) <= 1e-12
             assert abs(row.max_s - 2.0 * np.sqrt(1.0 + np.sin(row.phi))) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [2, 19, 181])
+    @pytest.mark.parametrize("name", BELL_STATE_NAMES)
+    def test_compatible_row_sits_on_the_classical_bound(self, name, steps):
+        # at phi = 0 A's two settings commute, so S at a Bell state is exactly 2
+        row = incompatibility_sweep(steps, bell_state(name)).rows[0]
+        assert row.phi == 0.0 and row.comm_a_norm == 0.0
+        assert row.s_singlet == 2.0
 
     def test_rows_maximize_s_at_a_general_state(self):
         # among settings on the ceiling (beta1 - beta2 = +-pi/2), no common B
