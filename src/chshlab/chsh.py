@@ -45,12 +45,12 @@ and the signs of S in `chsh_sum` (`_SUM_DIFF` factors them inside M).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
+from .linalg import Record, ResultRecord
 from .quantum import PAULI_PRODUCTS, DensityMatrix, Observable, correlation_tensor, pure_state
 
 SETTING_NAMES = ("a1", "a2", "b1", "b2")
@@ -88,28 +88,25 @@ IDENTITY_SIGN = -1
 IDENTITY_TRIALS, IDENTITY_SEED = 1000, 20260808  # defaults of check-identity too
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(Record):
     """Four measurement settings plus an optional shared state.
 
     The realized full-space operators are a_i x I and I x b_j, so the two
     parties' observables commute across sides identically; only the setting
     and state types need checking (every `DensityMatrix` is two-qubit), and
-    the record is frozen, like its parts, so no later rebinding skips that.
+    the record is immutable, like its parts, so no later rebinding skips that.
     """
 
-    a1: Observable
-    a2: Observable
-    b1: Observable
-    b2: Observable
-    state: DensityMatrix | None = None
+    _fields = (*SETTING_NAMES, "state")
 
-    def __post_init__(self):
-        for name in SETTING_NAMES:
-            if not isinstance(getattr(self, name), Observable):
+    def __init__(self, a1: Observable, a2: Observable, b1: Observable, b2: Observable,
+                 state: DensityMatrix | None = None):
+        for name, obs in zip(SETTING_NAMES, (a1, a2, b1, b2)):
+            if not isinstance(obs, Observable):
                 raise ValueError(f"{name}: expected an Observable")
-        if self.state is not None and not isinstance(self.state, DensityMatrix):
+        if state is not None and not isinstance(state, DensityMatrix):
             raise ValueError("state: expected a DensityMatrix or None")
+        self.__dict__.update(a1=a1, a2=a2, b1=b1, b2=b2, state=state)
 
     def observables(self) -> tuple[Observable, Observable, Observable, Observable]:
         return self.a1, self.a2, self.b1, self.b2
@@ -248,18 +245,19 @@ def extremal_eigenstate(sc: Scenario) -> DensityMatrix:
     return pure_state(vecs[0, :, col])
 
 
-@dataclass
-class Report:
+class Report(ResultRecord):
     """Spectral summary of one scenario."""
 
-    s_value: float | None
-    max_s_over_states: float
-    chsh_operator_norm: float
-    comm_a_norm: float
-    comm_b_norm: float
-    identity_residual: float
-    identity_sign: int
-    violates: bool
+    _fields = ("s_value", "max_s_over_states", "chsh_operator_norm", "comm_a_norm", "comm_b_norm",
+               "identity_residual", "identity_sign", "violates")
+
+    def __init__(self, s_value: float | None, max_s_over_states: float, chsh_operator_norm: float,
+                 comm_a_norm: float, comm_b_norm: float, identity_residual: float,
+                 identity_sign: int, violates: bool):
+        self.__dict__.update(s_value=s_value, max_s_over_states=max_s_over_states,
+                             chsh_operator_norm=chsh_operator_norm, comm_a_norm=comm_a_norm,
+                             comm_b_norm=comm_b_norm, identity_residual=identity_residual,
+                             identity_sign=identity_sign, violates=violates)
 
 
 def analyze(sc: Scenario) -> Report:
@@ -298,14 +296,15 @@ def random_scenario(seed: int, state: DensityMatrix | None = None) -> Scenario:
     return Scenario(*(Observable(c, label=lbl) for c, lbl in zip(paulis, SETTING_NAMES)), state=state)
 
 
-@dataclass
-class SignCheck:
+class SignCheck(ResultRecord):
     """Outcome of the randomized C^2 identity verification."""
 
-    trials: int
-    max_residual_plus: float
-    max_residual_minus: float
-    tolerance: float
+    _fields = ("trials", "max_residual_plus", "max_residual_minus", "tolerance")
+
+    def __init__(self, trials: int, max_residual_plus: float, max_residual_minus: float,
+                 tolerance: float):
+        self.__dict__.update(trials=trials, max_residual_plus=max_residual_plus,
+                             max_residual_minus=max_residual_minus, tolerance=tolerance)
 
     @property
     def plus_ok(self) -> bool:

@@ -11,9 +11,10 @@ parts in one `np.array(...).view(complex128)`.  Messages are formatted only on f
 Settings are named by `chsh.SETTING_NAMES` and a run's pairs by `chsh.PAIR_LABELS`.
 Report files are written, never read back here: they wrap the typed payload
 together with the tool version and an echo of the inputs.  Payloads are
-`vars` of each result, a shallow copy in field order with only the nested
-lists rewritten: the fields are already plain floats, ints, strings and
-lists, so a deep copy (`dataclasses.asdict`) would only copy them again;
+`vars` of each result, a shallow copy of its fields in `_fields` order
+(`linalg.Record` writes them in that order) with only the nested lists and
+records rewritten: the fields are already plain floats, ints, strings and
+lists, so a deep copy of the whole record would only copy them again;
 the sweep CSV reads `SWEEP_CSV_COLUMNS` off each row.  Floats serialize
 through `repr`, so `json.loads` (or `csv`) recovers every double exactly.
 

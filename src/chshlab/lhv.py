@@ -12,7 +12,6 @@ in `chsh.SETTING_NAMES` order; their pair products a_i b_j (`chsh.PAIR_A`,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,22 +51,21 @@ def classical_min() -> int:
     return min(chsh_sum(_PRODUCTS.T).tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class Mixture:
+class Mixture(linalg.Record):
     """Probability weights (`linalg.as_numbers`) over the 16 strategies, in enumeration
     order, held as a read-only copy: later writes to the caller's array do not reach them."""
 
-    weights: np.ndarray
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        w = linalg.as_numbers(self.weights, "mixture weights", np.float64, (16,)).copy()
+    def __init__(self, weights):
+        w = linalg.as_numbers(weights, "mixture weights", np.float64, (16,)).copy()
         if not np.all(w >= -1e-12):
             raise ValueError(f"mixture weights must be nonnegative, min {float(w.min())!r}")
         total = float(w.sum())
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)  # frozen, so no later rebinding skips the checks
+        self.__dict__["weights"] = w
 
 
 def mixture_correlations(mix: Mixture) -> tuple[float, float, float, float]:

@@ -9,6 +9,9 @@ symmetrized matrix to LAPACK's Hermitian solver (`np.linalg.eigh`).
 `operator_norm` is the largest |eigenvalue| of that solve, and `commutator`
 completes the set; products, adjoints and Kronecker products are plain
 numpy (`@`, `.conj().T`, `np.kron`).
+
+`Record`, beside the gate, is the base of the package's records: plain
+classes whose fields are written once and never rebound.
 """
 
 from __future__ import annotations
@@ -62,6 +65,56 @@ def as_floats(x, what: str, n: int) -> tuple[float, ...]:
             if cmath.isfinite(sum(x)):
                 return x
     return tuple(as_numbers(x, what, np.float64, (n,)).tolist())
+
+
+class Record:
+    """Named fields, written once by `__init__` and then immutable; equal only to itself.
+
+    A subclass names its fields in `_fields`, and its `__init__` checks its
+    arguments, then writes each field once into `__dict__`, in `_fields`
+    order, so `vars(record)` lists the fields in that order (the report
+    documents follow it).  Assigning or deleting any attribute afterwards
+    raises AttributeError, so no field rebound after construction skips the
+    checks.  `repr` is the dataclass format over the fields not in `_hidden`.
+    These are plain classes rather than dataclasses: the decorator compiled
+    and ran 3-6 generated methods per class, 6-10 ms of every process's import.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class ValueRecord(Record):
+    """A record equal to another of its exact class with equal fields, hashed by its
+    fields (as a frozen dataclass): for records whose fields are values."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+
+class ResultRecord(ValueRecord):
+    """A value record that is unhashable (as a plain dataclass): a computed result,
+    which may hold lists."""
+
+    __hash__ = None
 
 
 def as_matrix(m) -> np.ndarray:

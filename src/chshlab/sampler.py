@@ -29,25 +29,23 @@ step removes (run_experiment already does this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng
 from .chsh import PAIR_A, PAIR_B, PAIR_LABELS, Scenario, chsh_sum
+from .linalg import ResultRecord, ValueRecord
 from .quantum import DensityMatrix, JointDistribution, Observable, _born_cells
 
 _EVERY = 1 << 53  # a CDF limit that every 53-bit t lies below
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(ValueRecord):
     """2x2 outcome counts for one setting pair."""
 
-    pp: int
-    pm: int
-    mp: int
-    mm: int
+    _fields = ("pp", "pm", "mp", "mm")
+
+    def __init__(self, pp: int, pm: int, mp: int, mm: int):
+        self.__dict__.update(pp=pp, pm=pm, mp=mp, mm=mm)
 
     @property
     def total(self) -> int:
@@ -57,21 +55,18 @@ class PairCounts:
         return (self.pp + self.mm - self.pm - self.mp) / self.total
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: Scenario
-    shots_per_pair: int
-    seed: int
+class RunConfig(ValueRecord):
+    _fields = ("scenario", "shots_per_pair", "seed")
 
-    def __post_init__(self):
-        if not isinstance(self.scenario, Scenario):
+    def __init__(self, scenario: Scenario, shots_per_pair: int, seed: int):
+        if not isinstance(scenario, Scenario):
             raise ValueError("scenario: expected a Scenario")
-        rng._check_int("shots_per_pair", self.shots_per_pair, 1)
-        rng._check_seed(self.seed)
+        rng._check_int("shots_per_pair", shots_per_pair, 1)
+        rng._check_seed(seed)
+        self.__dict__.update(scenario=scenario, shots_per_pair=shots_per_pair, seed=seed)
 
 
-@dataclass
-class RunResult:
+class RunResult(ResultRecord):
     """Counts and estimates of one full four-pair run, fields in document order.
 
     counts and e_hat follow PAIR_LABELS order; s_hat = `chsh_sum(e_hat)` and
@@ -79,12 +74,12 @@ class RunResult:
     at zero.
     """
 
-    seed: int
-    shots_per_pair: int
-    counts: list[PairCounts]
-    e_hat: list[float]
-    s_hat: float
-    s_stderr: float
+    _fields = ("seed", "shots_per_pair", "counts", "e_hat", "s_hat", "s_stderr")
+
+    def __init__(self, seed: int, shots_per_pair: int, counts: list[PairCounts], e_hat: list[float],
+                 s_hat: float, s_stderr: float):
+        self.__dict__.update(seed=seed, shots_per_pair=shots_per_pair, counts=counts, e_hat=e_hat,
+                             s_hat=s_hat, s_stderr=s_stderr)
 
 
 def sample_pair(

@@ -37,7 +37,6 @@ Pauli vectors and the R it already holds, without building a `Scenario`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,20 +47,15 @@ from .quantum import DensityMatrix, Observable
 _TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True, init=False)
-class PlanarSettings:
+class PlanarSettings(linalg.ValueRecord):
     """Four x-z plane angles (radians) that pass `linalg.as_floats`, normalized into
-    [0, 2*pi); frozen, so no later rebinding skips the normalization."""
+    [0, 2*pi); immutable, so no later rebinding skips the normalization."""
 
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
+    _fields = ("alpha1", "alpha2", "beta1", "beta2")
 
     def __init__(self, alpha1: float, alpha2: float, beta1: float, beta2: float):
         # t % 2pi is 2pi itself for tiny negative t; reducing twice keeps each angle in
-        # [0, 2pi), so normalizing is idempotent.  Written once, to the dict: a generated
-        # frozen __init__ took 2 us against 0.7 us (Python 3.11)
+        # [0, 2pi), so normalizing is idempotent
         a1, a2, b1, b2 = linalg.as_floats((alpha1, alpha2, beta1, beta2), "planar angles", 4)
         d = self.__dict__
         d["alpha1"] = a1 % _TWO_PI % _TWO_PI
@@ -79,36 +73,37 @@ def settings_to_scenario(ps: PlanarSettings, state: DensityMatrix | None = None)
     return Scenario(*obs, state=state)
 
 
-@dataclass
-class SweepRow:
-    phi: float
-    settings: PlanarSettings
-    comm_a_norm: float
-    comm_b_norm: float
-    max_s: float
-    s_singlet: float
+class SweepRow(linalg.ResultRecord):
+    _fields = ("phi", "settings", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet")
+
+    def __init__(self, phi: float, settings: PlanarSettings, comm_a_norm: float, comm_b_norm: float,
+                 max_s: float, s_singlet: float):
+        self.__dict__.update(phi=phi, settings=settings, comm_a_norm=comm_a_norm,
+                             comm_b_norm=comm_b_norm, max_s=max_s, s_singlet=s_singlet)
 
 
-@dataclass
-class SweepResult:
-    phi_steps: int
-    rows: list[SweepRow]
-    best: SweepRow
+class SweepResult(linalg.ResultRecord):
+    _fields = ("phi_steps", "rows", "best")
+
+    def __init__(self, phi_steps: int, rows: list[SweepRow], best: SweepRow):
+        self.__dict__.update(phi_steps=phi_steps, rows=rows, best=best)
 
 
-@dataclass
-class OptimizeResult:
+class OptimizeResult(linalg.ResultRecord):
     """Maximizing planar settings, with the S value reached there.
 
     The maximizer is exact, so `converged` is always True and `cycles`
-    always 0: class constants, not fields.  Both stay only because the
-    benchmark's tracer reads them; they can go when it stops.
+    always 0: class constants, not among `_fields`, so neither is a
+    constructor argument, in `vars`, the repr or a comparison.  Both stay
+    only because the benchmark's tracer reads them; they can go when it stops.
     """
 
-    settings: PlanarSettings
-    s_value: float
+    _fields = ("settings", "s_value")
     converged = True
     cycles = 0
+
+    def __init__(self, settings: PlanarSettings, s_value: float):
+        self.__dict__.update(settings=settings, s_value=s_value)
 
 
 def _planar_pauli(angles) -> np.ndarray:

@@ -5,11 +5,22 @@ import math
 import numpy as np
 
 from chshlab import DensityMatrix, Observable, Scenario, observable_from_bloch
+from chshlab.linalg import Record
 
 
 def frobenius(m) -> float:
     """||m||_F; `math.hypot` scales internally, so no square overflows."""
     return math.hypot(*np.abs(np.asarray(m)).ravel().tolist())
+
+
+def deep_fields(x):
+    """A record as a dict of its `_fields`, read by attribute, with every record and
+    list inside it converted too: the deep copy that `dataclasses.asdict` made."""
+    if isinstance(x, Record):
+        return {name: deep_fields(getattr(x, name)) for name in x._fields}
+    if isinstance(x, list):
+        return [deep_fields(v) for v in x]
+    return x
 
 
 def as_array(d) -> np.ndarray:

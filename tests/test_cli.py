@@ -1,4 +1,6 @@
+import ast
 import csv
+import glob
 import io
 import json
 import os
@@ -403,21 +405,33 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "classical max S: 2" in proc.stdout
 
-    def test_version_imports_the_whole_package(self):
-        # setup_s times this command as the cost of loading all of chshlab; cli
-        # runs as __main__, so the loaded modules are the package and its other eight
+    def test_version_imports_the_whole_package(self, tmp_path):
+        # setup_s times this command as the cost of loading all of chshlab.  A
+        # sitecustomize hook reads sys.modules at exit: every file of the package must
+        # be loaded (cli.py as __main__), and none may load dataclasses, whose decorator
+        # compiles code at import, unless numpy (imported first here, and first by
+        # chshlab) already has, as numpy 2.0 may
+        (tmp_path / "sitecustomize.py").write_text("\n".join([
+            "import atexit, sys",
+            "import numpy",
+            "numpy_loaded_it = 'dataclasses' in sys.modules",
+            "files = lambda: [getattr(m, '__file__', None) for m in list(sys.modules.values())]",
+            "atexit.register(lambda: sys.stderr.write(repr(",
+            "    (numpy_loaded_it, 'dataclasses' in sys.modules, files()))))",
+        ]))
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "chshlab.cli", "--version"],
-            capture_output=True, text=True, env=env,
-        )
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), src])
+        proc = subprocess.run([sys.executable, "-m", "chshlab.cli", "--version"],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0 and proc.stdout == f"chshlab {__version__}\n"
-        loaded = {ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
-                  if ln.startswith("import time:")}
-        modules = ("chsh", "fileio", "lhv", "linalg", "quantum", "rng", "sampler", "sweep")
-        assert {m for m in loaded if m.split(".")[0] == "chshlab"} == {
-            "chshlab", *(f"chshlab.{m}" for m in modules)}
+        numpy_loaded_it, dataclasses_loaded, files = ast.literal_eval(proc.stderr)
+        package = sorted(glob.glob(os.path.join(src, "chshlab", "*.py")))
+        assert {os.path.basename(f) for f in package} >= {"__init__.py", "cli.py", "linalg.py"}
+        loaded = {os.path.realpath(f) for f in files if f}
+        assert [f for f in package if os.path.realpath(f) not in loaded] == []
+        if not numpy_loaded_it:
+            assert not dataclasses_loaded
 
     def test_readme_library_example_runs(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:

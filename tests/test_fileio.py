@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from chshlab import fileio
 from chshlab.fileio import FormatError
 from chshlab.quantum import SIGMA_Z
 from chshlab.sampler import PAIR_LABELS
+
+from helpers import deep_fields
 
 
 def optimal_doc(state="psi_minus"):
@@ -204,12 +205,12 @@ def written(payload_dict):
 
 class TestRoundTrips:
     """Documents are write-only; `json.loads` and `csv` recover each payload
-    exactly, compared with `dataclasses.asdict` of the typed result."""
+    exactly, compared with `deep_fields` of the typed result."""
 
     def test_report_round_trip(self):
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc()))
         report = analyze(sc)
-        assert written(fileio.report_to_dict(report)) == asdict(report)
+        assert written(fileio.report_to_dict(report)) == deep_fields(report)
 
     def test_report_round_trip_without_state(self):
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc(state=None)))
@@ -217,19 +218,19 @@ class TestRoundTrips:
         assert report.s_value is None
         recovered = written(fileio.report_to_dict(report))
         assert recovered["s_value"] is None
-        assert recovered == asdict(report)
+        assert recovered == deep_fields(report)
 
     def test_run_result_round_trip(self):
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc()))
         result = run_experiment(RunConfig(sc, shots_per_pair=2000, seed=17))
         through_json = written(fileio.run_result_to_dict(result))
         assert [c.pop("pair") for c in through_json["counts"]] == list(PAIR_LABELS)
-        assert through_json == asdict(result)
+        assert through_json == deep_fields(result)
 
     def test_sweep_result_round_trip(self):
         result = incompatibility_sweep(4, bell_state("psi_minus"))
         through_json = written(fileio.sweep_result_to_dict(result))
-        assert through_json == asdict(result)
+        assert through_json == deep_fields(result)
 
     def test_document_round_trip(self):
         sc, echo = fileio.parse_scenario(json.dumps(optimal_doc()))
@@ -241,14 +242,14 @@ class TestRoundTrips:
         assert parsed["tool"] == "chshlab"
         assert parsed["command"] == "analyze"
         assert parsed["input"]["scenario"] == echo
-        assert parsed["report"] == asdict(report)
+        assert parsed["report"] == deep_fields(report)
 
     def test_payloads_serialize_as_the_deep_copy_would(self):
-        # the shallow payloads keep asdict's key order, so the bytes match
+        # the shallow payloads keep the deep copy's key order, so the bytes match
         sc, _ = fileio.parse_scenario(json.dumps(optimal_doc()))
         report = analyze(sc)
         result = run_experiment(RunConfig(sc, shots_per_pair=500, seed=3))
-        run_deep = asdict(result)
+        run_deep = deep_fields(result)
         run_deep = {
             "seed": run_deep["seed"],
             "shots_per_pair": run_deep["shots_per_pair"],
@@ -258,10 +259,10 @@ class TestRoundTrips:
             "s_stderr": run_deep["s_stderr"],
         }
         sweep = incompatibility_sweep(7, bell_state("phi_plus"))
-        sweep_deep = asdict(sweep)
+        sweep_deep = deep_fields(sweep)
         sweep_deep = {"phi_steps": sweep_deep["phi_steps"], "rows": sweep_deep["rows"],
                       "best": sweep_deep["best"]}
-        for shallow, deep in ((fileio.report_to_dict(report), asdict(report)),
+        for shallow, deep in ((fileio.report_to_dict(report), deep_fields(report)),
                               (fileio.run_result_to_dict(result), run_deep),
                               (fileio.sweep_result_to_dict(sweep), sweep_deep)):
             assert fileio.dumps(shallow) == fileio.dumps(deep)

@@ -1,15 +1,16 @@
-import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from chshlab import (DensityMatrix, JointDistribution, Mixture, Observable, PlanarSettings, linalg,
+from chshlab import (DensityMatrix, JointDistribution, Mixture, Observable, OptimizeResult, PairCounts,
+                     PlanarSettings, Report, RunConfig, RunResult, Scenario, SweepResult, SweepRow, linalg,
                      observable_from_bloch, pure_state)
+from chshlab.chsh import SignCheck
 from chshlab.quantum import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from helpers import frobenius, random_hermitian, random_unitary
+from helpers import as_array, frobenius, random_hermitian, random_unitary
 
 
 class TestAsMatrix:
@@ -45,8 +46,7 @@ NUMERIC_INPUTS = {
                               lambda v: observable_from_bloch([v, 0.0, 1.0]).pauli),
     "Mixture": ("mixture weights", REAL, lambda v: Mixture([1.0, v] + [0.0] * 14).weights),
     "PlanarSettings": ("planar angles", REAL, lambda v: PlanarSettings(0.5, v, 1.0, 2.0).as_tuple()),
-    "JointDistribution": ("probabilities", REAL,
-                          lambda v: dataclasses.astuple(JointDistribution(0.5, v, 0.25, 0.25))),
+    "JointDistribution": ("probabilities", REAL, lambda v: as_array(JointDistribution(0.5, v, 0.25, 0.25))),
     "DensityMatrix": ("density matrix", COMPLEX, lambda v: DensityMatrix(
         [[0.5, v, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, 0.5]]).matrix),
     "pure_state": ("state vector", COMPLEX, lambda v: pure_state([1.0, v, 0.0, 0.0]).matrix),
@@ -294,3 +294,88 @@ class TestStacks:
         for fn in (linalg.as_matrix, linalg.hermitian_eigen, linalg.operator_norm):
             with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {bad.shape}")):
                 fn(bad)
+
+
+_SZ = Observable((0.0, 0.0, 0.0, 1.0), label="a1")
+_SX = observable_from_bloch((1.0, 0.0, 0.0))
+_SCENARIO = Scenario(_SZ, _SX, _SZ, _SX)
+_PLANAR = PlanarSettings(0.0, 0.5, 0.25, 1.0)
+_ROW = SweepRow(0.0, _PLANAR, 0.0, 2.0, 2.0, -2.0)
+_SZ_REPR = "Observable(pauli=array([0., 0., 0., 1.]), label='a1')"
+_SX_REPR = "Observable(pauli=array([0., 1., 0., 0.]), label='')"
+_SCENARIO_REPR = f"Scenario(a1={_SZ_REPR}, a2={_SX_REPR}, b1={_SZ_REPR}, b2={_SX_REPR}, state=None)"
+_PLANAR_REPR = "PlanarSettings(alpha1=0.0, alpha2=0.5, beta1=0.25, beta2=1.0)"
+_ROW_REPR = (f"SweepRow(phi=0.0, settings={_PLANAR_REPR}, comm_a_norm=0.0, comm_b_norm=2.0, "
+             "max_s=2.0, s_singlet=-2.0)")
+# every record class -> (a fresh record, its fields in `vars` order, its repr, how it compares):
+# "identity" records equal only themselves and hash by identity, "value" records compare and
+# hash by their fields, "result" records compare by their fields and are unhashable.  Each
+# call builds a new record from the same parts; fields and reprs are those the dataclasses had.
+RECORDS = {
+    "Observable": (lambda: Observable((0.0, 0.0, 0.0, 1.0), label="a1"), ("pauli", "label"),
+                   _SZ_REPR, "identity"),
+    "DensityMatrix": (lambda: DensityMatrix(np.diag([1, 0, 0, 0])), ("matrix", "correlations"),
+                      "DensityMatrix(matrix=array([[1.+0.j, 0.+0.j, 0.+0.j, 0.+0.j],\n"
+                      "       [0.+0.j, 0.+0.j, 0.+0.j, 0.+0.j],\n"
+                      "       [0.+0.j, 0.+0.j, 0.+0.j, 0.+0.j],\n"
+                      "       [0.+0.j, 0.+0.j, 0.+0.j, 0.+0.j]]))", "identity"),
+    "JointDistribution": (lambda: JointDistribution(0.5, 0.0, 0.25, 0.25), ("p_pp", "p_pm", "p_mp", "p_mm"),
+                          "JointDistribution(p_pp=0.5, p_pm=0.0, p_mp=0.25, p_mm=0.25)", "value"),
+    "Scenario": (lambda: Scenario(_SZ, _SX, _SZ, _SX), ("a1", "a2", "b1", "b2", "state"),
+                 _SCENARIO_REPR, "identity"),
+    "Report": (lambda: Report(None, 2.0, 1.0, 0.0, 2.0, 0.0, -1, False),
+               ("s_value", "max_s_over_states", "chsh_operator_norm", "comm_a_norm", "comm_b_norm",
+                "identity_residual", "identity_sign", "violates"),
+               "Report(s_value=None, max_s_over_states=2.0, chsh_operator_norm=1.0, comm_a_norm=0.0, "
+               "comm_b_norm=2.0, identity_residual=0.0, identity_sign=-1, violates=False)", "result"),
+    "SignCheck": (lambda: SignCheck(8, 0.5, 0.0, 1e-9),
+                  ("trials", "max_residual_plus", "max_residual_minus", "tolerance"),
+                  "SignCheck(trials=8, max_residual_plus=0.5, max_residual_minus=0.0, tolerance=1e-09)",
+                  "result"),
+    "Mixture": (lambda: Mixture([1.0] + [0.0] * 15), ("weights",),
+                "Mixture(weights=array([1., 0., 0., 0., 0., 0., 0., 0., 0., 0., 0., 0., 0., 0., 0., 0.]))",
+                "identity"),
+    "PairCounts": (lambda: PairCounts(3, 1, 0, 4), ("pp", "pm", "mp", "mm"),
+                   "PairCounts(pp=3, pm=1, mp=0, mm=4)", "value"),
+    "RunConfig": (lambda: RunConfig(_SCENARIO, 10, 7), ("scenario", "shots_per_pair", "seed"),
+                  f"RunConfig(scenario={_SCENARIO_REPR}, shots_per_pair=10, seed=7)", "value"),
+    "RunResult": (lambda: RunResult(7, 10, [PairCounts(3, 1, 0, 6)], [0.25], 0.25, 0.5),
+                  ("seed", "shots_per_pair", "counts", "e_hat", "s_hat", "s_stderr"),
+                  "RunResult(seed=7, shots_per_pair=10, counts=[PairCounts(pp=3, pm=1, mp=0, mm=6)], "
+                  "e_hat=[0.25], s_hat=0.25, s_stderr=0.5)", "result"),
+    "PlanarSettings": (lambda: PlanarSettings(0.0, 0.5, 0.25, 1.0), ("alpha1", "alpha2", "beta1", "beta2"),
+                       _PLANAR_REPR, "value"),
+    "SweepRow": (lambda: SweepRow(0.0, _PLANAR, 0.0, 2.0, 2.0, -2.0),
+                 ("phi", "settings", "comm_a_norm", "comm_b_norm", "max_s", "s_singlet"), _ROW_REPR, "result"),
+    "SweepResult": (lambda: SweepResult(2, [_ROW], _ROW), ("phi_steps", "rows", "best"),
+                    f"SweepResult(phi_steps=2, rows=[{_ROW_REPR}], best={_ROW_REPR})", "result"),
+    "OptimizeResult": (lambda: OptimizeResult(_PLANAR, 2.5), ("settings", "s_value"),
+                       f"OptimizeResult(settings={_PLANAR_REPR}, s_value=2.5)", "result"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    make, fields, text, kind = RECORDS[name]
+    r = make()
+    assert type(r).__name__ == name and isinstance(r, linalg.Record)
+    assert r._fields == tuple(vars(r)) == fields
+    assert repr(r) == text
+    before = dict(vars(r))
+    for attr in (*fields, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{attr}'$"):
+            setattr(r, attr, 0.0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{attr}'$"):
+            delattr(r, attr)
+    assert tuple(vars(r)) == fields and all(vars(r)[f] is before[f] for f in fields)
+    other = make()
+    assert r == r and r != object()
+    if kind == "identity":
+        assert r != other and hash(r) == object.__hash__(r)
+    else:
+        assert r == other and not r != other
+        if kind == "value":
+            assert hash(r) == hash(other) == hash(tuple(before.values()))
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(r)

@@ -6,7 +6,6 @@ Examples are derandomized, so every run draws the same inputs.
 import json
 import os
 import tempfile
-from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +15,8 @@ from chshlab.chsh import Report
 from chshlab.cli import main
 from chshlab.sampler import PAIR_LABELS, PairCounts, RunResult
 from chshlab.sweep import PlanarSettings, SweepResult, SweepRow
+
+from helpers import deep_fields
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -78,7 +79,7 @@ def test_document_round_trip_is_bit_exact(case):
     back = doc[key]
     if command == "simulate":
         assert [c.pop("pair") for c in back["counts"]] == list(PAIR_LABELS)
-    assert doc["command"] == command and back == asdict(payload)
+    assert doc["command"] == command and back == deep_fields(payload)
 
 
 huge_ints = st.integers(min_value=10**308, max_value=10**400)  # most overflow a float

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -337,7 +336,7 @@ class TestOptimizeSettings:
     def test_converged_and_cycles_are_constants(self):
         # the maximizer is exact: neither is a field, so neither can be set
         res = optimize_settings(bell_state("psi_minus"))
-        assert [f.name for f in dataclasses.fields(res)] == ["settings", "s_value"]
+        assert res._fields == tuple(vars(res)) == ("settings", "s_value")
         assert repr(res) == f"OptimizeResult(settings={res.settings!r}, s_value={res.s_value!r})"
         with pytest.raises(TypeError):
             OptimizeResult(res.settings, res.s_value, converged=False)
