@@ -63,7 +63,8 @@ _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 _SIGNS = (1, -1)  # column order of the identity residuals
 _SIGN_COLUMN = np.array(_SIGNS, dtype=float)[:, None, None]
 # on Pauli 4-vectors, x[_NEXT] * y[_PREV] - x[_PREV] * y[_NEXT] = (0, cross(x', y'))
-_NEXT, _PREV = [0, 2, 3, 1], [0, 3, 1, 2]
+_NEXT, _PREV = np.array([0, 2, 3, 1], dtype=np.intp), np.array([0, 3, 1, 2], dtype=np.intp)
+_NEXT.flags.writeable = _PREV.flags.writeable = False
 # Real images R(Z) = [[Re Z, -Im Z], [Im Z, Re Z]] of the Pauli products, row
 # 4 mu + nu, flattened: R is real-linear and R(XY) = R(X) R(Y), so M.reshape(16)
 # @ _IMAGES is R(C).  _HALVES and _EYE_HALF hold the left halves [[Re Z], [Im Z]]
@@ -155,6 +156,11 @@ def _chsh_pass(vectors: np.ndarray, work: np.ndarray | None = None) -> _Pass:
     left halves are formed: R(C) R(C)[:, :4] - I is that of C^2 - I, and
     ||Z||_F^2 is the sum of squares of Z's left half [[Re Z], [Im Z]].  R(C)
     and the three largest temporaries are new arrays, or the first 192 N floats of `work`.
+
+    No numpy Python wrapper runs here, as fixed cost is most of an N = 1 pass:
+    `_NEXT`/`_PREV` are intp arrays (a list index is converted on every call) used
+    as plain indices, not via `ndarray.take` (4x as long on 256-trial blocks), and
+    the norms are `np.linalg.norm`'s sqrt(add.reduce(w * w)) for real w, unwrapped.
     """
     n = len(vectors)
     image, neg_term, square, diff = (None,) * 4 if work is None else (
@@ -170,7 +176,7 @@ def _chsh_pass(vectors: np.ndarray, work: np.ndarray | None = None) -> _Pass:
     diff = np.multiply(_SIGN_COLUMN, neg_term, out=diff)  # (2, N, 32), signs in _SIGNS order
     diff += square
     residuals = np.sqrt(np.einsum("snk,snk->ns", diff, diff))
-    return _Pass(image, m, 2.0 * np.linalg.norm(w, axis=-1), residuals)
+    return _Pass(image, m, 2.0 * np.sqrt(np.add.reduce(w * w, axis=-1)), residuals)
 
 
 def _scenario_pass(sc: Scenario) -> _Pass:

@@ -40,10 +40,12 @@ def _parse_seed(text: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every `main` call."""
+    """The argument parser, built on first use and shared by every `main` call; its
+    `commands` maps each command name to that command's parser, for `main`'s dispatch."""
     parser = argparse.ArgumentParser(prog="chshlab", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     output_help = "write the report to PATH"
     seed_help = "64-bit unsigned seed (decimal or 0x-hex)"
 
@@ -182,9 +184,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code.  When `argv[0]` names a command, that command's
+    parser alone reads the rest, as the top parser would after a pass of its own, and
+    leftovers get the top parser's `parse_args` error.  Anything else (no or an unknown
+    command, `--version`, `-h`) goes through the top parser, as does any argv holding
+    `--=`, the one argument the top parser rejects (as ambiguous) even after a command."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.commands and "--=" not in " ".join(argv):
+            args, extras = parser.commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -70,21 +70,23 @@ class Observable(linalg.Record):
     M^2 = (c0^2 + |c'|^2) I + 2 c0 c' . sigma, so for real c
     ||M^2 - I||_F = sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2 |c0| |c'|), which must
     not exceed OBSERVABLE_TOL: c is +/-e0 or (0, n) for a unit n, up to rounding.
-    c must pass `linalg.as_numbers` with shape (4,); +/-I is written Observable((+/-1, 0, 0, 0)).
+    c must pass `linalg.as_floats` with n = 4; +/-I is written Observable((+/-1, 0, 0, 0)).
+    The check runs on those floats, and only then is the one array built from them,
+    so no caller's array is kept or copied twice.
     """
 
     _fields = ("pauli", "label")
 
     def __init__(self, pauli, label: str = ""):
         tag = f"observable {label!r}" if label else "observable"
-        c = linalg.as_numbers(pauli, f"{tag}: Pauli vector", np.float64, (4,)).copy()
-        c0, *bloch = c.tolist()
+        c0, *bloch = c = linalg.as_floats(pauli, f"{tag}: Pauli vector", 4)
         r = math.hypot(*bloch)
         residual = math.sqrt(2.0) * math.hypot(c0 * c0 + r * r - 1.0, 2.0 * abs(c0) * r)
         if not residual <= OBSERVABLE_TOL:
-            raise ValueError(f"{tag}: Pauli vector {c.tolist()} does not square to the identity")
-        c.flags.writeable = False
-        self.__dict__.update(pauli=c, label=label)
+            raise ValueError(f"{tag}: Pauli vector {list(c)} does not square to the identity")
+        pauli = np.array(c)
+        pauli.flags.writeable = False
+        self.__dict__.update(pauli=pauli, label=label)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -99,7 +101,7 @@ def observable_from_bloch(n, label: str = "") -> Observable:
     norm2 = x * x + y * y + z * z
     if not abs(norm2 - 1.0) <= BLOCH_UNIT_TOL:
         raise ValueError(f"bloch vectors must have unit length, got |n|^2 = {norm2!r}")
-    return Observable(np.array((0.0, x, y, z)), label=label)
+    return Observable((0.0, x, y, z), label=label)
 
 
 def bloch_of(obs: Observable) -> tuple[float, float, float]:
@@ -183,7 +185,8 @@ class JointDistribution(linalg.ValueRecord):
     _TRACE_TOL of 1, so to first order in delta (the rest is below 1e-20)
     r * floor - delta <= cell <= 1 + _TRACE_TOL - (4 - r) * floor + 2 delta.
     Cells must pass `linalg.as_floats` and lie in [_CELL_LO, _CELL_HI], the widest
-    of these (r = 2 below, r = 1 above) plus 1e-12 for rounding, summing to 1 within _TRACE_TOL."""
+    of these (r = 2 below, r = 1 above) plus 1e-12 for rounding, summing to 1 within _TRACE_TOL;
+    the record holds those floats."""
 
     _fields = ("p_pp", "p_pm", "p_mp", "p_mm")
 
@@ -195,7 +198,7 @@ class JointDistribution(linalg.ValueRecord):
         total = 0.0 + p0 + p1 + p2 + p3  # np.sum's order: from +0.0, left to right
         if abs(total - 1.0) > _TRACE_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        self.__dict__.update(p_pp=p_pp, p_pm=p_pm, p_mp=p_mp, p_mm=p_mm)  # as given, checked
+        self.__dict__.update(p_pp=p0, p_pm=p1, p_mp=p2, p_mm=p3)  # the floats checked
 
 
 def pauli_correlations(rho: DensityMatrix) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import glob
@@ -392,6 +393,65 @@ class TestPerCommandFlags:
         scen = str(write_scenario(tmp_path / "opt.json"))
         assert main([scen if a == "SCENARIO" else a for a in argv]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# argv for which `main`'s dispatch on the command name must do what the top parser does
+DISPATCH_ARGV = {
+    "unknown_option": ["analyze", "s.json", "--bogus"],
+    "extra_positional": ["analyze", "s.json", "extra"],
+    "output_equals": ["analyze", "s.json", "--output=out.json"],
+    "abbreviation": ["analyze", "s.json", "--out", "out.json", "--exp"],
+    "double_dash": ["analyze", "--output", "out.json", "--", "--s.json"],
+    "ambiguous_equals": ["analyze", "s.json", "--=x"],
+    "help_after_command": ["simulate", "-h"],
+    "version_before_command": ["--version", "analyze", "s.json"],
+    "version_after_command": ["analyze", "s.json", "--version"],
+    "no_command": [],
+    "unknown_command": ["bogus", "s.json"],
+    "missing_required": ["simulate", "s.json"],
+    "bad_shots": ["simulate", "s.json", "--shots", "ten"],
+    "bad_seed": ["check-identity", "--seed", "0xZZ"],
+    "bad_format": ["sweep", "--format", "xml"],
+    "simulate": ["simulate", "s.json", "--shots", "10", "--seed", "0x10", "--output", "o.json"],
+    "check_identity": ["check-identity", "--trials", "5"],
+    "sweep": ["sweep", "--phi-steps", "3", "--format", "csv", "--state", "phi_plus"],
+    "lhv": ["lhv"],
+}
+
+
+class TestDispatch:
+    """`main` parses a command's arguments with that command's parser alone."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+        return seen
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV.values(), ids=DISPATCH_ARGV.keys())
+    def test_matches_the_top_parser(self, argv, seen, capsys):
+        try:
+            want = (None, vars(cli.build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            want = (int(exc.code or 0), capsys.readouterr())
+        rc = main(argv)
+        if want[0] is None:  # parsed: the command got the top parser's namespace
+            assert (rc, seen, capsys.readouterr()) == (0, [want[1]], ("", ""))
+        else:  # stopped in parsing, with the same exit code, stdout and stderr
+            assert (rc, seen, capsys.readouterr()) == (want[0], [], want[1])
+
+    def test_one_parser_pass_per_command(self, seen, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a, **k: calls.append(self.prog) or parse_known_args(self, *a, **k))
+        args = {"analyze": ["s.json"], "simulate": ["s.json", "--shots", "1"]}
+        for name in cli._COMMANDS:
+            calls.clear()
+            assert main([name, *args.get(name, [])]) == 0
+            assert calls == [f"chshlab {name}"]
+        assert len(seen) == len(cli._COMMANDS)
 
 
 class TestEntryPoint:

@@ -142,6 +142,20 @@ class TestObservable:
         with pytest.raises(AttributeError, match="cannot assign"):
             obs.pauli = np.array([3.0, 0.0, 0.0, 0.0])
 
+    def test_every_input_kind_gives_the_same_read_only_pauli(self):
+        # the check runs on the floats, then one array is built from them, whatever the input
+        f64, f32 = np.array([0.0, 0.0, -1.0, 0.0]), np.array([0.0, 0.0, -1.0, 0.0], dtype=np.float32)
+        kinds = [(0.0, 0.0, -1.0, 0.0), [0.0, 0.0, -1.0, 0.0], f64, f32, [0, 0, -1, 0]]
+        paulis = [Observable(c).pauli for c in kinds]
+        f64[2] = f32[2] = 1.0  # the caller's arrays, written after construction
+        for pauli in paulis:
+            assert pauli.dtype == np.float64 and not pauli.flags.writeable
+            assert pauli.tobytes() == np.array([0.0, 0.0, -1.0, 0.0]).tobytes()
+        rng = np.random.default_rng(35)
+        for n in [(1.0, 0.0, 0.0), (-0.0, 0.0, -1.0)] + [random_bloch(rng) for _ in range(50)]:
+            want = Observable((0.0, *map(float, n))).pauli
+            assert observable_from_bloch(n).pauli.tobytes() == want.tobytes()
+
     def test_closed_form_check_matches_matrix_residual(self):
         # sqrt(2) hypot(c0^2 + |c'|^2 - 1, 2|c0||c'|) is ||M^2 - I||_F: it must
         # accept and reject exactly where the matrix residual does
@@ -391,6 +405,13 @@ class TestJointDistribution:
         with pytest.raises(ValueError) as exc:
             JointDistribution(*cells)
         assert str(exc.value) == message
+
+    def test_record_holds_the_checked_floats(self):
+        d = JointDistribution(0.5, 0, 0.25, np.float32(0.25))
+        assert repr(d) == "JointDistribution(p_pp=0.5, p_pm=0.0, p_mp=0.25, p_mm=0.25)"
+        assert {type(v) for v in vars(d).values()} == {float}
+        floats = JointDistribution(0.5, 0.0, 0.25, 0.25)
+        assert d == floats and hash(d) == hash(floats)
 
     def test_sum_check_matches_numpy_sum(self):
         # rows scaled to the edge of the 1e-10 tolerance pass exactly when
