@@ -299,7 +299,8 @@ def random_scenario(seed: int, state: DensityMatrix | None = None) -> Scenario:
     """Scenario with four independent uniformly random settings: the `_sphere`
     rows of `seed`'s first 8 uniforms, as `verify_identity_sign` draws them."""
     paulis = _sphere(rng.uniforms(seed, 8))
-    return Scenario(*(Observable(c, label=lbl) for c, lbl in zip(paulis, SETTING_NAMES)), state=state)
+    return Scenario(*(Observable(tuple(c), label=lbl) for c, lbl in zip(paulis.tolist(), SETTING_NAMES)),
+                    state=state)
 
 
 class SignCheck(ResultRecord):

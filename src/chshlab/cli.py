@@ -187,12 +187,13 @@ def main(argv=None) -> int:
     """Run one command; its exit code.  When `argv[0]` names a command, that command's
     parser alone reads the rest, as the top parser would after a pass of its own, and
     leftovers get the top parser's `parse_args` error.  Anything else (no or an unknown
-    command, `--version`, `-h`) goes through the top parser, as does any argv holding
-    `--=`, the one argument the top parser rejects (as ambiguous) even after a command."""
+    command, `--version`, `-h`) goes through the top parser, as does any argv with an
+    argument starting `--=`, the one form the top parser rejects (as ambiguous) even
+    after a command."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in parser.commands and "--=" not in " ".join(argv):
+        if argv and argv[0] in parser.commands and not any(a.startswith("--=") for a in argv):
             args, extras = parser.commands[argv[0]].parse_known_args(
                 argv[1:], argparse.Namespace(command=argv[0]))
             if extras:

@@ -80,7 +80,7 @@ def observable_from_spec(spec, name: str) -> Observable:
             raise FormatError(f"{name}.angle: expected a number")
         if not math.isfinite(t):
             raise ValueError(f"{name}.angle: must be finite, got {t!r}")
-        return Observable(_planar_pauli(t), label=name)
+        return Observable(tuple(_planar_pauli(t).tolist()), label=name)
     raise FormatError(f"{name}: expected a 'bloch' or 'angle' field")
 
 

@@ -69,7 +69,8 @@ class PlanarSettings(linalg.ValueRecord):
 
 def settings_to_scenario(ps: PlanarSettings, state: DensityMatrix | None = None) -> Scenario:
     """Realize planar angles as observables with Pauli vectors (0, sin t, 0, cos t)."""
-    obs = [Observable(c, label=lbl) for c, lbl in zip(_planar_pauli(ps.as_tuple()), SETTING_NAMES)]
+    obs = [Observable(tuple(c), label=lbl)
+           for c, lbl in zip(_planar_pauli(ps.as_tuple()).tolist(), SETTING_NAMES)]
     return Scenario(*obs, state=state)
 
 
@@ -164,13 +165,6 @@ def _row_settings(phi: float, t: list[list[float]]) -> PlanarSettings:
     return PlanarSettings(0.0, phi, g + sign * 0.25 * math.pi, g - sign * 0.25 * math.pi)
 
 
-def _phi_grid(n: int) -> list[float]:
-    """np.linspace(0, pi/2, n).tolist() bit for bit, signs of zero included, for n >= 2:
-    numpy's Python-level linspace took about a tenth of a sweep."""
-    step = 0.5 * math.pi / (n - 1)
-    return [k * step for k in range(n - 1)] + [0.5 * math.pi]
-
-
 def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     """Violation ceiling versus one party's incompatibility.
 
@@ -186,7 +180,7 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     rng._check_int("phi_steps", phi_steps, 2)
     corr = state.correlations
     t = _xz_block(corr)
-    phis = _phi_grid(phi_steps)
+    phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()
     settings = [_row_settings(phi, t) for phi in phis]
     p = _chsh_pass(_planar_pauli([ps.as_tuple() for ps in settings]))
     # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does

@@ -20,7 +20,7 @@ from chshlab import (
 from chshlab.chsh import _chsh_pass
 from chshlab.linalg import operator_norm
 from chshlab.quantum import BELL_STATE_NAMES, SIGMA_X, SIGMA_Z, DensityMatrix
-from chshlab.sweep import _phi_grid, _planar_pauli
+from chshlab.sweep import _planar_pauli
 
 from helpers import frobenius, random_density, random_pure_density
 
@@ -111,12 +111,6 @@ class TestIncompatibilitySweep:
         assert len(sweep.rows) == 19
         assert sweep.rows[0].phi == 0.0
         assert sweep.rows[-1].phi == pytest.approx(np.pi / 2.0, abs=0)
-
-    def test_grid_is_linspace_bit_for_bit(self, sweep):
-        for n in range(2, 601):
-            grid, want = _phi_grid(n), np.linspace(0.0, np.pi / 2.0, n)
-            assert grid == want.tolist() and np.array(grid).tobytes() == want.tobytes(), n
-        assert [row.phi for row in sweep.rows] == _phi_grid(19)
 
     def test_compatible_endpoint(self, sweep):
         row = sweep.rows[0]
