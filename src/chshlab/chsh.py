@@ -17,26 +17,23 @@ records the result.  The identity makes the package's central fact
 mechanical: if either local commutator vanishes, C^2 = I, hence no state
 violates |S| <= 2 - and both commutators live on a single party's side.
 
-Every operator-level number comes from one stacked kernel over N scenarios
-(`_chsh_pass`), whose only input is the settings' real Pauli 4-vectors.  C is
-built in Pauli coordinates, C = sum M_mu,nu sigma_mu x sigma_nu with M =
-`chsh_coefficients`, as its real image R(C) = [[Re C, -Im C], [Im C, Re C]],
-against the images of `quantum.PAULI_PRODUCTS`.  The local commutators are
-cross products: [x, y] = 2i cross(x', y') . sigma for the Bloch parts x', y',
-so ||[a1, a2]|| = 2|u| for u = cross(a1', a2') (and v likewise for B), and the
-commutator term (1/4)[a1, a2] x [b1, b2] has the Pauli coefficients
--(0, u)(0, v)^T, contracted against the same images.  The sign of that term
-is still established numerically, by squaring R(C).  One pass returns R(C),
-M, both commutator norms and the identity residuals of both signs; complex C
-is read off R(C) only where `_Pass.eigh` diagonalizes it, with no `linalg`
-check, which is for matrices from outside: C is Hermitian by construction.
-`analyze`, `max_s_over_states`, `extremal_eigenstate`, `chsh_operator`,
-`commutator_norms` and `square_identity_residual` run it with N = 1,
-`sweep.incompatibility_sweep` once over all its rows, and
-`verify_identity_sign` on blocks of _BLOCK = 256 random trials, its largest
-arrays in one buffer per thread, drawn for a whole block at once from the
-child streams of its seed; `_sphere` writes those generated
-settings, and `random_scenario`'s, as Pauli vectors into one array, unchecked.
+Every operator-level number comes from the settings' real Pauli 4-vectors,
+stacked over N scenarios.  The commutators are cross products (`_commutators`):
+[x, y] = 2i cross(x', y') . sigma for Bloch parts x', y', so ||[a1, a2]|| = 2|u|
+for u = cross(a1', a2'), and v likewise.  At the verified sign C^2 = I +
+(u . sigma) x (v . sigma), so ||C|| = sqrt(1 + |u||v|) (Landau, Phys. Lett. A
+120, 54 (1987)): `analyze`, `max_s_over_states` and the sweep read it off the
+commutators.  `_chsh_pass` builds C as its real image R(C) = [[Re C, -Im C],
+[Im C, Re C]] from M = `chsh_coefficients` (C = sum M_mu,nu sigma_mu x sigma_nu)
+and the images of `quantum.PAULI_PRODUCTS`, and the commutator term from its
+Pauli coefficients -(0, u)(0, v)^T against the same images; it checks both signs
+of that term by squaring R(C).  Complex C is read off R(C) only for
+`chsh_operator` and `_Pass.eigh`, with no `linalg` check (that is for matrices
+from outside; C is Hermitian by construction).  `analyze`, `extremal_eigenstate`,
+`chsh_operator` and `square_identity_residual` run the pass with N = 1, and
+`verify_identity_sign` on blocks of _BLOCK = 256 random trials in one buffer per
+thread, drawn a block at a time from the child streams of its seed; `_sphere`
+writes those settings, and `random_scenario`'s, as Pauli vectors, unchecked.
 The CHSH facts live here and the other modules read them: `SETTING_NAMES`, the
 pairs `PAIR_LABELS` (`PAIR_A`, `PAIR_B` index the settings each pair measures)
 and the signs of S in `chsh_sum` (`_SUM_DIFF` factors them inside M).
@@ -44,6 +41,7 @@ and the signs of S in `chsh_sum` (`_SUM_DIFF` factors them inside M).
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import NamedTuple
 
@@ -58,6 +56,8 @@ SETTING_NAMES = ("a1", "a2", "b1", "b2")
 PAIR_A, PAIR_B = np.array([0, 0, 1, 1], dtype=np.intp), np.array([2, 3, 2, 3], dtype=np.intp)
 PAIR_A.flags.writeable = PAIR_B.flags.writeable = False
 PAIR_LABELS = tuple(SETTING_NAMES[i] + SETTING_NAMES[j] for i, j in zip(PAIR_A, PAIR_B))
+# Accepted settings may miss M^2 = I by OBSERVABLE_TOL (|c|^2 = 1 +- 7e-11).  There ||C|| in closed
+# form and by eigh part by up to 7e-11 (tested to 1e-10), so max_s by under 2e-10, far below this cut.
 VIOLATION_TOL = 1e-9
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 _SIGNS = (1, -1)  # column order of the identity residuals
@@ -136,39 +136,52 @@ class _Pass(NamedTuple):
 
     @property
     def operator(self) -> np.ndarray:
-        """(N, 4, 4) complex C = Re C + i Im C, from the left blocks of R(C)."""
+        """(N, 4, 4) complex C = Re C + i Im C, from R(C)'s left blocks; for `chsh_operator`, `eigh`."""
         c = np.empty((len(self.image), 4, 4), dtype=np.complex128)
         c.real, c.imag = self.image[:, :4, :4], self.image[:, 4:, :4]
         return c
 
     def eigh(self):
-        """`np.linalg.eigh` of each C as it is, eigenvalues ascending: Re C sums symmetric
-        images and Im C antisymmetric ones in a fixed order, so C == C^H bit for bit."""
+        """`np.linalg.eigh` of each C as it is, eigenvalues ascending, for `extremal_eigenstate`: Re C
+        sums symmetric images and Im C antisymmetric ones in a fixed order, so C == C^H bit for bit."""
         return np.linalg.eigh(self.operator)
+
+
+def _commutators(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = (0, u), (0, v), the cross products of (a1, a2) and (b1, b2), and the norms
+    2|u|, 2|v| of [a1, a2], [b1, b2], from (N, 4, 4) Pauli vectors: (N, 2, 4) and (N, 2).
+
+    `_ceiling`'s ||C|| = sqrt(1 + |u||v|) holds only for sharp settings (M^2 = I, as
+    `Observable` checks); unsharp ones must go through `eigh`.  The intp `_NEXT`/`_PREV`
+    index directly (a list is converted on every call; `take` is 4x as long on 256 rows),
+    and the norms are `np.linalg.norm`'s sqrt(add.reduce(w * w)), unwrapped.
+    """
+    x, y = vectors[..., _NEXT], vectors[..., _PREV]
+    w = x[:, 0::2] * y[:, 1::2] - y[:, 0::2] * x[:, 1::2]  # (a1, b1) cross (a2, b2)
+    return w, 2.0 * np.sqrt(np.add.reduce(w * w, axis=-1))
+
+
+def _ceiling(comm_a: float, comm_b: float) -> float:
+    """||C|| of sharp settings from their commutator norms 2|u|, 2|v| (correctly rounded)."""
+    return math.sqrt(1.0 + 0.25 * comm_a * comm_b)
 
 
 def _chsh_pass(vectors: np.ndarray, work: np.ndarray | None = None) -> _Pass:
     """R(C), M, both local commutator norms and both identity residuals of N
     scenarios, from the (N, 4, 4) Pauli vectors of a1, a2, b1, b2.
 
-    The cross products w = (0, u), (0, v) of (a1, a2) and (b1, b2) give the
-    norms 2|u|, 2|v| and the commutator term's coefficients -w_A w_B^T.  Only
-    left halves are formed: R(C) R(C)[:, :4] - I is that of C^2 - I, and
-    ||Z||_F^2 is the sum of squares of Z's left half [[Re Z], [Im Z]].  R(C)
-    and the three largest temporaries are new arrays, or the first 192 N floats of `work`.
-
-    No numpy Python wrapper runs here, as fixed cost is most of an N = 1 pass:
-    `_NEXT`/`_PREV` are intp arrays (a list index is converted on every call) used
-    as plain indices, not via `ndarray.take` (4x as long on 256-trial blocks), and
-    the norms are `np.linalg.norm`'s sqrt(add.reduce(w * w)) for real w, unwrapped.
+    `_commutators`' w give the norms and the commutator term's coefficients
+    -w_A w_B^T.  Only left halves are formed: R(C) R(C)[:, :4] - I is that of C^2 - I,
+    and ||Z||_F^2 is the sum of squares of Z's left half [[Re Z], [Im Z]].  R(C) and
+    the three largest temporaries are new arrays, or the first 192 N floats of `work`.
+    No numpy Python wrapper runs here, as fixed cost is most of an N = 1 pass.
     """
     n = len(vectors)
     image, neg_term, square, diff = (None,) * 4 if work is None else (
         work[:64 * n].reshape(n, 64), work[64 * n:96 * n].reshape(n, 32),
         work[96 * n:128 * n].reshape(n, 8, 4), work[128 * n:192 * n].reshape(2, n, 32))
     m = chsh_coefficients(vectors)
-    x, y = vectors[..., _NEXT], vectors[..., _PREV]
-    w = x[:, 0::2] * y[:, 1::2] - y[:, 0::2] * x[:, 1::2]  # (a1, b1) cross (a2, b2)
+    w, comm = _commutators(vectors)
     image = np.matmul(m.reshape(n, 16), _IMAGES, out=image).reshape(n, 8, 8)
     neg_term = np.matmul((w[:, 0, :, None] * w[:, 1, None, :]).reshape(n, 16), _HALVES, out=neg_term)
     square = np.matmul(image, image[..., :4], out=square).reshape(n, 32)
@@ -176,17 +189,17 @@ def _chsh_pass(vectors: np.ndarray, work: np.ndarray | None = None) -> _Pass:
     diff = np.multiply(_SIGN_COLUMN, neg_term, out=diff)  # (2, N, 32), signs in _SIGNS order
     diff += square
     residuals = np.sqrt(np.einsum("snk,snk->ns", diff, diff))
-    return _Pass(image, m, 2.0 * np.sqrt(np.add.reduce(w * w, axis=-1)), residuals)
+    return _Pass(image, m, comm, residuals)
 
 
-def _scenario_pass(sc: Scenario) -> _Pass:
-    """The N = 1 pass over one scenario's settings."""
-    return _chsh_pass(np.array([[o.pauli for o in sc.observables()]]))
+def _vectors(sc: Scenario) -> np.ndarray:
+    """The (1, 4, 4) Pauli vectors of one scenario's settings."""
+    return np.array([[o.pauli for o in sc.observables()]])
 
 
 def chsh_operator(sc: Scenario) -> np.ndarray:
     """C = (1/2)[a1 x (b1 + b2) + a2 x (b1 - b2)], a Hermitian 4x4 matrix."""
-    return _scenario_pass(sc).operator[0]
+    return _chsh_pass(_vectors(sc)).operator[0]
 
 
 def square_identity_residual(sc: Scenario, sign: int) -> float:
@@ -198,7 +211,7 @@ def square_identity_residual(sc: Scenario, sign: int) -> float:
     """
     if type(sign) is not int or sign not in _SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return float(_scenario_pass(sc).residuals[0, _SIGNS.index(sign)])
+    return float(_chsh_pass(_vectors(sc)).residuals[0, _SIGNS.index(sign)])
 
 
 def commutator_norms(sc: Scenario) -> tuple[float, float]:
@@ -207,7 +220,7 @@ def commutator_norms(sc: Scenario) -> tuple[float, float]:
     Ranges over [0, 2] for +1/-1 valued observables; 0 means the pair is
     jointly measurable.
     """
-    return tuple(_scenario_pass(sc).commutator_norms[0].tolist())
+    return tuple(_commutators(_vectors(sc))[1][0].tolist())
 
 
 def s_value(sc: Scenario) -> float:
@@ -224,8 +237,8 @@ def _s_at(m: np.ndarray, r: np.ndarray) -> float:
 
 
 def max_s_over_states(sc: Scenario) -> float:
-    """sup |S| over all states: 2 ||C||, attained on an extremal eigenstate."""
-    return 2.0 * float(np.abs(_scenario_pass(sc).eigh().eigenvalues).max())
+    """sup |S| over all states: 2 ||C|| = 2 sqrt(1 + |u||v|), attained on an extremal eigenstate."""
+    return 2.0 * _ceiling(*_commutators(_vectors(sc))[1][0].tolist())
 
 
 def max_s_over_settings(state: DensityMatrix) -> float:
@@ -244,7 +257,7 @@ def extremal_eigenstate(sc: Scenario) -> DensityMatrix:
     tie up to rounding; the positive branch (the last of `eigh`'s ascending
     columns) wins unless the negative one dominates beyond the rounding scale.
     """
-    vals, vecs = _scenario_pass(sc).eigh()
+    vals, vecs = _chsh_pass(_vectors(sc)).eigh()
     bottom, top = float(vals[0, 0]), float(vals[0, -1])
     scale = max(1.0, abs(top), abs(bottom))
     col = -1 if abs(top) >= abs(bottom) - 1e-12 * scale else 0
@@ -267,12 +280,12 @@ class Report(ResultRecord):
 
 
 def analyze(sc: Scenario) -> Report:
-    """Full report: S (if a state is present), 2||C||, local commutator
-    norms, the C^2 identity residual at the verified sign, and the
+    """Full report: S (if a state is present), 2||C|| from the local commutator
+    norms, those norms, the C^2 identity residual at the verified sign, and the
     violation verdict max_s > 2 + 1e-9."""
-    p = _scenario_pass(sc)
-    nrm = float(np.abs(p.eigh().eigenvalues).max())
+    p = _chsh_pass(_vectors(sc))
     comm_a, comm_b = p.commutator_norms[0].tolist()
+    nrm = _ceiling(comm_a, comm_b)
     max_s = 2.0 * nrm
     s = None if sc.state is None else _s_at(p.coefficients[0], sc.state.correlations)
     return Report(s_value=s, max_s_over_states=max_s, chsh_operator_norm=nrm,

@@ -26,10 +26,10 @@ R = `quantum.pauli_correlations`, where S = a1^T T (b1 + b2) + a2^T T (b1 - b2):
 Maximizers form continuous families, most visibly on degenerate spectra (the
 singlet, `maximally_mixed`).  atan2(0, 0) = 0 and ties to the +pi/2 sign
 pick one canonical representative that does not depend on any LAPACK build.
-A sweep is one stacked pass over Pauli vectors (0, sin t, 0, cos t) built
-directly from the angles (`_planar_pauli`; sin^2 + cos^2 is within a few ulp
-of 1, so `observable_from_bloch`'s unit check could never fail on them) plus
-one stacked eigensolve (`chsh._Pass.eigh` over every row's C, unchecked);
+A sweep reads M and the commutator norms off Pauli vectors (0, sin t, 0, cos t)
+built directly from the angles (`_planar_pauli`; sin^2 + cos^2 is within a few
+ulp of 1, so `observable_from_bloch`'s unit check could never fail on them) and
+each row's ceiling off its norms, with no eigensolver;
 `optimize_settings` takes its S as 2 <M, R> from the maximizing settings'
 Pauli vectors and the R it already holds, without building a `Scenario`.
 """
@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import linalg, rng
-from .chsh import SETTING_NAMES, Scenario, _chsh_pass, _s_at, chsh_coefficients
+from .chsh import SETTING_NAMES, Scenario, _ceiling, _commutators, _s_at, chsh_coefficients
 from .quantum import DensityMatrix, Observable
 
 _TWO_PI = 2.0 * np.pi
@@ -172,24 +172,22 @@ def incompatibility_sweep(phi_steps: int, state: DensityMatrix) -> SweepResult:
     a2 = cos(phi) sz + sin(phi) sx, so the A-side commutator norm is
     2 sin(phi).  Each row's B angles reach the state-independent ceiling
     2||C|| = 2 sqrt(1 + sin phi) and, among those, maximize S at the
-    supplied state.  One `chsh._chsh_pass` over every row's Pauli vectors gives
-    both local commutator norms, C for the ceiling 2||C|| and M for S = 2 <M, R>
-    at the state; one `eigh` call over the stack of C gives every row's
-    ceiling.
+    supplied state.  Every row's Pauli vectors give, stacked, M for S = 2 <M, R>
+    at the state and both local commutator norms, and those norms the ceiling
+    (`chsh._ceiling`, as `max_s_over_states` takes it).
     """
     rng._check_int("phi_steps", phi_steps, 2)
     corr = state.correlations
     t = _xz_block(corr)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps).tolist()
     settings = [_row_settings(phi, t) for phi in phis]
-    p = _chsh_pass(_planar_pauli([ps.as_tuple() for ps in settings]))
+    vectors = _planar_pauli([ps.as_tuple() for ps in settings])
     # a stack of 1x16 . 16x1 products takes each row's dot as `chsh.s_value` does
-    s_values = 2.0 * (p.coefficients.reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
-    max_s = 2.0 * np.abs(p.eigh().eigenvalues).max(axis=-1)  # one stacked eigensolve
+    s_values = 2.0 * (chsh_coefficients(vectors).reshape(phi_steps, 1, 16) @ corr.reshape(16, 1))
     rows = [
-        SweepRow(phi, ps, comm_a, comm_b, m, s)
-        for phi, ps, (comm_a, comm_b), m, s in zip(
-            phis, settings, p.commutator_norms.tolist(), max_s.tolist(), s_values.ravel().tolist())
+        SweepRow(phi, ps, comm_a, comm_b, 2.0 * _ceiling(comm_a, comm_b), s)
+        for phi, ps, (comm_a, comm_b), s in zip(
+            phis, settings, _commutators(vectors)[1].tolist(), s_values.ravel().tolist())
     ]
-    best = rows[int(np.argmax(max_s))]
+    best = max(rows, key=lambda row: row.max_s)  # the first of equal maxima
     return SweepResult(phi_steps=phi_steps, rows=rows, best=best)

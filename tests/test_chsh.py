@@ -1,3 +1,4 @@
+import math
 import re
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ from chshlab import (
     IDENTITY_SIGN,
     DensityMatrix,
     Observable,
+    PlanarSettings,
     Scenario,
     analyze,
     bell_state,
@@ -22,6 +24,7 @@ from chshlab import (
     observable_from_bloch,
     optimize_settings,
     s_value,
+    settings_to_scenario,
     square_identity_residual,
     verify_identity_sign,
 )
@@ -35,6 +38,7 @@ from helpers import (complex_chsh_pass, frobenius, kron_chsh_operator, kron_iden
 from helpers import random_scenario as np_random_scenario
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+HALF_ROOT = 0.5 ** 0.5
 
 
 def optimal_scenario(state=None):
@@ -356,9 +360,18 @@ class TestMaxSOverStates:
 
 
 class TestUncheckedEigensolve:
-    """The kernel's C goes to `np.linalg.eigh` as it is, with no `linalg` check:
-    it equals its adjoint bit for bit, so the checked path, the reference here,
-    gives the same bits."""
+    """The kernel's C goes to `np.linalg.eigh` as it is, with no `linalg` check: it
+    equals its adjoint bit for bit, so `extremal_eigenstate` gets the checked path's
+    bits.  ||C|| is read off the commutators instead, and agrees with the checked
+    eigensolver, the reference here, within CLOSED_FORM_ULPS (7 ulp seen on 3000
+    random scenarios)."""
+
+    CLOSED_FORM_ULPS = 16
+
+    @classmethod
+    def assert_closed_form(cls, got, sc, factor=1.0):
+        want = factor * linalg.operator_norm(chsh_operator(sc))
+        assert abs(got - want) <= cls.CLOSED_FORM_ULPS * math.ulp(want)
 
     @staticmethod
     def checked_extremal(sc):
@@ -378,9 +391,8 @@ class TestUncheckedEigensolve:
         states = (None, bell_state("psi_minus"), maximally_mixed())
         for k in range(300):
             sc = random_scenario(k, states[k % 3])
-            nrm = linalg.operator_norm(chsh_operator(sc))
-            assert analyze(sc).chsh_operator_norm == nrm
-            assert max_s_over_states(sc) == 2.0 * nrm
+            self.assert_closed_form(analyze(sc).chsh_operator_norm, sc)
+            self.assert_closed_form(max_s_over_states(sc), sc, 2.0)
             assert np.array_equal(extremal_eigenstate(sc).matrix, self.checked_extremal(sc).matrix)
 
     def test_tied_and_untied_spectra_match_the_checked_path(self):
@@ -397,7 +409,7 @@ class TestUncheckedEigensolve:
                               random_observable(rng_np, "b2"))
         for case in (sc, asymmetric, all_sz_scenario()):
             assert np.array_equal(extremal_eigenstate(case).matrix, self.checked_extremal(case).matrix)
-            assert max_s_over_states(case) == 2.0 * linalg.operator_norm(chsh_operator(case))
+            self.assert_closed_form(max_s_over_states(case), case, 2.0)
 
 
 class TestMaxSOverSettings:
@@ -454,6 +466,49 @@ class TestAnalyze:
         assert rep.comm_a_norm == 0.0 and rep.comm_b_norm == 0.0
         assert rep.max_s_over_states == 2.0
         assert not rep.violates
+
+    @pytest.mark.parametrize("sc", [
+        settings_to_scenario(PlanarSettings(0.0, 0.5 * math.pi, 0.25 * math.pi, -0.25 * math.pi)),
+        Scenario(*(observable_from_bloch(n, lbl) for n, lbl in zip(
+            [(0, 0, 1), (1, 0, 0), (-HALF_ROOT, 0, -HALF_ROOT), (HALF_ROOT, 0, -HALF_ROOT)],
+            ("a1", "a2", "b1", "b2")))),
+    ], ids=["angles", "bloch"])
+    def test_tsirelson_settings_are_correctly_rounded(self, sc):
+        # the closed form sqrt(1 + |u||v|) gives sqrt 2 and 2 sqrt 2 correctly rounded
+        rep = analyze(sc)
+        assert rep.chsh_operator_norm == math.sqrt(2.0) == 1.4142135623730951
+        assert rep.max_s_over_states == max_s_over_states(sc) == 2.8284271247461903
+        assert rep.violates
+
+    @pytest.mark.parametrize("settings", [(1, -1, 1, -1), (1, 1, -1, 1), (-1, "z", "x", 1), ("z", "x", 1, 1),
+                                          ("z", "z", "x", "z")],
+                             ids=["all-identity", "a-identity", "mixed-a", "b-identity", "commuting"])
+    def test_commuting_and_identity_settings_are_exact(self, settings):
+        axes = {"z": (0.0, 0.0, 0.0, 1.0), "x": (0.0, 1.0, 0.0, 0.0)}
+        sc = Scenario(*(Observable(axes[c] if c in axes else (float(c), 0.0, 0.0, 0.0), lbl)
+                        for c, lbl in zip(settings, ("a1", "a2", "b1", "b2"))))
+        rep = analyze(sc)
+        assert (rep.chsh_operator_norm, rep.max_s_over_states, rep.violates) == (1.0, 2.0, False)
+        assert max_s_over_states(sc) == 2.0
+
+    def test_closed_form_at_the_observable_tolerance_edge(self):
+        # settings accepted only just within OBSERVABLE_TOL, |c|^2 = 1 +- 7e-11: the
+        # closed form is off the eigensolver by up to 7e-11, and every verdict agrees
+        rng_np = np.random.default_rng(20261022)
+        for _ in range(1000):
+            obs = []
+            for lbl in ("a1", "a2", "b1", "b2"):
+                scale = np.sqrt(1.0 + rng_np.choice([-7e-11, 7e-11]))
+                if rng_np.random() < 0.125:
+                    c = (rng_np.choice([-1.0, 1.0]) * scale, 0.0, 0.0, 0.0)
+                else:
+                    n = rng_np.normal(size=3)
+                    c = (0.0, *(n * (scale / np.linalg.norm(n))).tolist())
+                obs.append(Observable(c, lbl))
+            sc = Scenario(*obs)
+            rep, want = analyze(sc), linalg.operator_norm(chsh_operator(sc))
+            assert abs(rep.chsh_operator_norm - want) <= 1e-10
+            assert rep.violates == (2.0 * want > 2.0 + VIOLATION_TOL)
 
     def test_report_invariants_on_random_scenarios(self):
         rng = np.random.default_rng(60)
